@@ -12,6 +12,7 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .commitment import merkle_root
 from .core import (
@@ -19,12 +20,12 @@ from .core import (
     Cteg,
     EventType,
     Timestamp,
+    ValidationFailedError,
     height,
     temporal_projection,
-    validate_cteg,
 )
 from .dynamics import BudgetExceededError, UniverseBounds, e0_normalize, phi
-from .persistence import TraceFormatError, export_trace, parse_trace
+from .persistence import TraceFormatError, export_trace, import_trace
 from .session import FailurePolicy, Session, begin_session
 
 __all__ = ["SimulationConfig", "run_simulation", "build_parser", "main"]
@@ -107,30 +108,23 @@ def _drive(session: Session, depth_budget: int, steps: int, rng: random.Random, 
             known.extend(session.emit(parent, events))
 
 
-def _read_file(path: str) -> bytes | None:
+def _load_for_command(path: str, violations_to: TextIO) -> tuple[Cteg, int] | tuple[None, int]:
+    """Read and validate a trace file, mapping failures to exit codes; violations go to `violations_to`."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _load_for_command(path: str) -> tuple[Cteg, int] | tuple[None, int]:
-    """Parse and validate a trace file, mapping failures to exit codes."""
-    data = _read_file(path)
-    if data is None:
         return None, EXIT_PARSE
     try:
-        graph, root, _session = parse_trace(data)
+        trace, _session = import_trace(data)
     except TraceFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
-    diag = validate_cteg(graph, root)
-    if not diag.ok:
-        for v in diag.violations:
-            print(f"violation: {v}", file=sys.stderr)
+    except ValidationFailedError as exc:
+        for v in exc.diagnostics.violations:
+            print(f"violation: {v}", file=violations_to)
         return None, EXIT_INVALID
-    return Cteg(graph, root), EXIT_OK
+    return trace, EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -154,26 +148,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    data = _read_file(args.file)
-    if data is None:
-        return EXIT_PARSE
-    try:
-        graph, root, _session = parse_trace(data)
-    except TraceFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    diag = validate_cteg(graph, root)
-    if not diag.ok:
-        for v in diag.violations:
-            print(f"violation: {v}")
-        return EXIT_INVALID
-    c = Cteg(graph, root)
-    print(f"nodes={len(graph.nodes)} height={height(c)} root_ts={graph.t[root].micros}")
+    trace, code = _load_for_command(args.file, sys.stdout)
+    if trace is None:
+        return code
+    print(f"nodes={len(trace.graph.nodes)} height={height(trace)} root_ts={trace.graph.t[trace.root].micros}")
     return EXIT_OK
 
 
 def cmd_commit(args: argparse.Namespace) -> int:
-    trace, code = _load_for_command(args.file)
+    trace, code = _load_for_command(args.file, sys.stderr)
     if trace is None:
         return code
     print(merkle_root(trace).hex)
@@ -181,7 +164,7 @@ def cmd_commit(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    trace, code = _load_for_command(args.file)
+    trace, code = _load_for_command(args.file, sys.stderr)
     if trace is None:
         return code
     seq = e0_normalize(trace)
@@ -193,7 +176,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    trace, code = _load_for_command(args.file)
+    trace, code = _load_for_command(args.file, sys.stderr)
     if trace is None:
         return code
     for n in temporal_projection(trace):

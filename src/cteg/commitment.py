@@ -8,8 +8,9 @@ same final trace by any construction order yields the same receipt, while
 any single-field change anywhere flips it.
 
 Node ids are deliberately excluded from the preimage: receipts commit to
-what happened and when, not to the randomly drawn identifiers, so two
-structurally identical traces share a receipt.
+what happened and when, not to the randomly drawn identifiers. Two
+structurally identical traces share a receipt unless siblings tie on
+timestamp, where the ids still decide the order of the child digests.
 """
 
 from __future__ import annotations
@@ -73,23 +74,20 @@ def node_digest(
     return Digest(h.digest())
 
 
-def _canonical_children(c: Cteg, n: ActionId) -> list[ActionId]:
-    return sorted(c.graph.children_map()[n], key=lambda ch: (c.graph.t[ch], ch))
-
-
 def merkle_root(c: Cteg) -> Digest:
     """Root digest of a trace, computed bottom-up without recursion."""
     g = c.graph
     digests: dict[ActionId, Digest] = {}
-    stack: list[tuple[ActionId, bool]] = [(c.root, False)]
+    # A node is pushed bare, then again with its children in canonical order.
+    stack: list[tuple[ActionId, list[ActionId] | None]] = [(c.root, None)]
     while stack:
-        n, expanded = stack.pop()
-        children = _canonical_children(c, n)
-        if expanded:
-            digests[n] = node_digest(g.tau[n], g.t[n], g.payloads[n], [digests[ch] for ch in children])
+        n, children = stack.pop()
+        if children is None:
+            children = sorted(g.children_map()[n], key=lambda ch: (g.t[ch], ch))
+            stack.append((n, children))
+            stack.extend((ch, None) for ch in children)
         else:
-            stack.append((n, True))
-            stack.extend((ch, False) for ch in children)
+            digests[n] = node_digest(g.tau[n], g.t[n], g.payloads[n], [digests[ch] for ch in children])
     return digests[c.root]
 
 

@@ -34,6 +34,8 @@ __all__ = [
     "Diagnostics",
     "TypedTemporalGraph",
     "Cteg",
+    "Row",
+    "graph_from_rows",
     "validate_causal_graph",
     "validate_cteg",
     "causal_path",
@@ -352,6 +354,28 @@ class Cteg:
             cached = {b: a for a, b in self.graph.edges}
             object.__setattr__(self, "_parents", cached)
         return cached
+
+
+Row = tuple[ActionId, ActionId | None, Timestamp, EventType, bytes]
+
+
+def graph_from_rows(rows: Iterable[Row]) -> TypedTemporalGraph:
+    """The graph of node-table rows (node, parent or None, timestamp, type, payload).
+
+    Edges follow parent pointers and the type set is the types in use. Only
+    representability is checked (ValueError); well-formedness is for `Cteg`.
+    """
+    edges: list[tuple[ActionId, ActionId]] = []
+    t: dict[ActionId, Timestamp] = {}
+    tau: dict[ActionId, EventType] = {}
+    payloads: dict[ActionId, bytes] = {}
+    for node, parent, ts, event_type, payload in rows:
+        if node in t:
+            raise ValueError(f"node {node.hex} appears in more than one row")
+        if parent is not None:
+            edges.append((parent, node))
+        t[node], tau[node], payloads[node] = ts, event_type, payload
+    return TypedTemporalGraph(frozenset(t), frozenset(edges), t, tau, frozenset(tau.values()), payloads)
 
 
 def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:

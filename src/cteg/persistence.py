@@ -10,7 +10,7 @@ all times, including after a crash that truncated the log.
 Two stores implement the interface: an in-memory one and a single-file
 append log. The file layout is a `CTEGSTORE1` magic header followed by
 length-prefixed little-endian binary records; a torn trailing record is
-ignored on open, while any complete but inconsistent record is reported as
+cut off on open, while any complete but inconsistent record is reported as
 corruption.
 
 The text format serializes one trace bit-exactly: a `cteg/1 <session>`
@@ -28,14 +28,17 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from threading import RLock
+from typing import Iterator
 
 from .core import (
     ActionId,
     Cteg,
     CtegError,
     EventType,
+    Row,
     Timestamp,
     TypedTemporalGraph,
+    graph_from_rows,
     temporal_projection,
 )
 from .session import SessionId
@@ -127,12 +130,11 @@ class NodeRecord:
 class _SessionRows:
     """Per-session append state used for validation and reconstruction."""
 
-    __slots__ = ("records", "by_node", "root")
+    __slots__ = ("records", "by_node")
 
     def __init__(self) -> None:
-        self.records: list[NodeRecord] = []
+        self.records: list[NodeRecord] = []  # the first is the root: parents come first
         self.by_node: dict[ActionId, NodeRecord] = {}
-        self.root: ActionId | None = None
 
 
 class Store(ABC):
@@ -171,10 +173,8 @@ class MemoryStore(Store):
     def register_session(self, session_id: SessionId | None = None) -> SessionId:
         with self._lock:
             sid = session_id if session_id is not None else SessionId.fresh()
-            if sid in self._sessions:
-                raise DuplicateSessionError(f"session {sid.hex} is already registered")
-            self._sessions[sid] = _SessionRows()
-            self._order.append(sid)
+            self._validate(sid)
+            self._admit(sid)
             return sid
 
     def append_node(self, rec: NodeRecord) -> None:
@@ -182,7 +182,11 @@ class MemoryStore(Store):
             self._validate(rec)
             self._admit(rec)
 
-    def _validate(self, rec: NodeRecord) -> None:
+    def _validate(self, rec: SessionId | NodeRecord) -> None:
+        if isinstance(rec, SessionId):
+            if rec in self._sessions:
+                raise DuplicateSessionError(f"session {rec.hex} is already registered")
+            return
         rows = self._sessions.get(rec.session_id)
         if rows is None:
             raise UnknownSessionError(f"session {rec.session_id.hex} is not registered")
@@ -193,7 +197,7 @@ class MemoryStore(Store):
         if rec.node_id in rows.by_node:
             raise DuplicateNodeError(f"node {rec.node_id.hex} already appended for this session")
         if rec.parent_id is None:
-            if rows.root is not None:
+            if rows.records:
                 raise DuplicateRootError("session already has a parentless root row")
         else:
             parent = rows.by_node.get(rec.parent_id)
@@ -207,12 +211,14 @@ class MemoryStore(Store):
                     f"parent t={parent.timestamp.micros}"
                 )
 
-    def _admit(self, rec: NodeRecord) -> None:
+    def _admit(self, rec: SessionId | NodeRecord) -> None:
+        if isinstance(rec, SessionId):
+            self._sessions[rec] = _SessionRows()
+            self._order.append(rec)
+            return
         rows = self._sessions[rec.session_id]
         rows.records.append(rec)
         rows.by_node[rec.node_id] = rec
-        if rec.parent_id is None:
-            rows.root = rec.node_id
 
     def load_session(self, session_id: SessionId) -> Cteg:
         with self._lock:
@@ -229,19 +235,9 @@ class MemoryStore(Store):
 
 
 def _assemble(records: list[NodeRecord]) -> Cteg:
-    nodes = {r.node_id for r in records}
-    edges = {(r.parent_id, r.node_id) for r in records if r.parent_id is not None}
-    roots = [r.node_id for r in records if r.parent_id is None]
+    rows = ((r.node_id, r.parent_id, r.timestamp, r.event_type, r.payload) for r in records)
     try:
-        graph = TypedTemporalGraph(
-            nodes=frozenset(nodes),
-            edges=frozenset(edges),
-            t={r.node_id: r.timestamp for r in records},
-            tau={r.node_id: r.event_type for r in records},
-            type_set=frozenset(r.event_type for r in records),
-            payloads={r.node_id: r.payload for r in records},
-        )
-        return Cteg(graph, roots[0])
+        return Cteg(graph_from_rows(rows), records[0].node_id)
     except (ValueError, CtegError) as exc:
         raise CorruptStoreError(f"session rows do not reconstruct a valid trace: {exc}") from exc
 
@@ -327,18 +323,15 @@ def _decode_record(body: bytes) -> SessionId | NodeRecord:
         raise CorruptStoreError(f"malformed node record: {exc}") from exc
 
 
-def _iter_complete_records(data: bytes):
-    """Yield decoded records; silently stop at a torn trailing record."""
-    offset = 0
-    total = len(data)
-    while True:
-        if offset + 4 > total:
-            return
+def _iter_complete_records(data: bytes, offset: int):
+    """Yield each record from `offset` on with the offset just past it; stop at a torn tail."""
+    while offset + 4 <= len(data):
         (length,) = struct.unpack_from("<I", data, offset)
-        if offset + 4 + length > total:
+        end = offset + 4 + length
+        if end > len(data):
             return
-        yield _decode_record(data[offset + 4 : offset + 4 + length])
-        offset += 4 + length
+        yield _decode_record(data[offset + 4 : end]), end
+        offset = end
 
 
 class FileStore(Store):
@@ -346,7 +339,9 @@ class FileStore(Store):
 
     Opening an existing file replays and re-validates every complete record;
     semantic violations (which cannot be produced through this interface)
-    therefore surface as corruption. Appends are flushed before returning.
+    therefore surface as corruption, and a torn tail is cut off. Each record
+    is written unbuffered before the store admits it; a failed write is
+    rolled back.
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -361,30 +356,38 @@ class FileStore(Store):
     def _replay(self, data: bytes) -> None:
         if data[: len(_MAGIC)] != _MAGIC:
             raise CorruptStoreError("missing store magic header")
+        end = len(_MAGIC)
         try:
-            for record in _iter_complete_records(data[len(_MAGIC) :]):
-                if isinstance(record, SessionId):
-                    self._mem.register_session(record)
-                else:
-                    self._mem.append_node(record)
+            for record, end in _iter_complete_records(data, end):
+                self._mem._validate(record)
+                self._mem._admit(record)
         except StoreError as exc:
             raise CorruptStoreError(f"replay failed: {exc}") from exc
+        if end < len(data):
+            with open(self._path, "r+b") as fh:
+                fh.truncate(end)
 
-    def _append_bytes(self, blob: bytes) -> None:
-        with open(self._path, "ab") as fh:
-            fh.write(blob)
-            fh.flush()
+    def _write(self, rec: SessionId | NodeRecord, blob: bytes) -> None:
+        self._mem._validate(rec)
+        with open(self._path, "ab", buffering=0) as fh:
+            start = fh.tell()
+            try:
+                if fh.write(blob) != len(blob):
+                    raise OSError(f"short write to {self._path}")
+            except OSError:
+                fh.truncate(start)  # a partial record would swallow the next append on reopen
+                raise
+        self._mem._admit(rec)
 
     def register_session(self, session_id: SessionId | None = None) -> SessionId:
         with self._lock:
-            sid = self._mem.register_session(session_id)
-            self._append_bytes(_encode_session_record(sid))
+            sid = session_id if session_id is not None else SessionId.fresh()
+            self._write(sid, _encode_session_record(sid))
             return sid
 
     def append_node(self, rec: NodeRecord) -> None:
         with self._lock:
-            self._mem.append_node(rec)
-            self._append_bytes(_encode_node_record(rec))
+            self._write(rec, _encode_node_record(rec))
 
     def load_session(self, session_id: SessionId) -> Cteg:
         with self._lock:
@@ -402,18 +405,14 @@ def append_trace(store: Store, session_id: SessionId, c: Cteg) -> None:
     children, so the rows pass the store's incremental checks. The session
     must already be registered.
     """
-    parents = c.parent_map()
-    for n in temporal_projection(c):
-        store.append_node(
-            NodeRecord(
-                node_id=n,
-                session_id=session_id,
-                parent_id=parents.get(n),
-                timestamp=c.graph.t[n],
-                event_type=c.graph.tau[n],
-                payload=c.graph.payloads[n],
-            )
-        )
+    for node, parent, ts, event_type, payload in _projection_rows(c):
+        store.append_node(NodeRecord(node, session_id, parent, ts, event_type, payload))
+
+
+def _projection_rows(c: Cteg) -> Iterator[Row]:
+    """The trace's rows in temporal projection order, so every parent comes first."""
+    parents, g = c.parent_map(), c.graph
+    return ((n, parents.get(n), g.t[n], g.tau[n], g.payloads[n]) for n in temporal_projection(c))
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +430,11 @@ def export_trace(c: Cteg, session: SessionId) -> bytes:
     microseconds, event type, base64 payload, tab-separated. Exporting
     equal traces yields identical bytes.
     """
-    parents = c.parent_map()
     lines = [_HEADER_PREFIX + session.hex]
-    for n in temporal_projection(c):
-        parent = parents.get(n)
-        lines.append(
-            "\t".join(
-                (
-                    n.hex,
-                    parent.hex if parent is not None else "-",
-                    str(c.graph.t[n].micros),
-                    c.graph.tau[n].name,
-                    base64.b64encode(c.graph.payloads[n]).decode("ascii"),
-                )
-            )
-        )
+    for node, parent, ts, event_type, payload in _projection_rows(c):
+        parent_field = parent.hex if parent is not None else "-"
+        payload_field = base64.b64encode(payload).decode("ascii")
+        lines.append("\t".join((node.hex, parent_field, str(ts.micros), event_type.name, payload_field)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -482,18 +471,15 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
     except ValueError as exc:
         raise TraceFormatError(f"bad session id in header: {exc}") from exc
 
-    t: dict[ActionId, Timestamp] = {}
-    tau: dict[ActionId, EventType] = {}
-    payloads: dict[ActionId, bytes] = {}
-    parent_of: dict[ActionId, ActionId | None] = {}
-    order: list[ActionId] = []
+    rows: list[Row] = []
+    seen: set[ActionId] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != 5:
             raise TraceFormatError(f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}")
         node_field, parent_field, ts_field, type_field, payload_field = fields
         node = _parse_id(node_field, f"node id on line {lineno}")
-        if node in parent_of:
+        if node in seen:
             raise TraceFormatError(f"line {lineno}: duplicate node id {node.hex}")
         parent = None if parent_field == "-" else _parse_id(parent_field, f"parent id on line {lineno}")
         try:
@@ -508,29 +494,19 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
             payload = base64.b64decode(payload_field.encode("ascii"), validate=True)
         except (ValueError, UnicodeEncodeError) as exc:
             raise TraceFormatError(f"line {lineno}: bad base64 payload: {exc}") from exc
-        parent_of[node] = parent
-        t[node] = ts
-        tau[node] = event_type
-        payloads[node] = payload
-        order.append(node)
+        seen.add(node)
+        rows.append((node, parent, ts, event_type, payload))
 
-    if not order:
+    if not rows:
         raise TraceFormatError("trace has a header but no node rows")
-    roots = [n for n in order if parent_of[n] is None]
+    roots = [node for node, parent, *_ in rows if parent is None]
     if not roots:
         raise TraceFormatError("trace has no parentless root row")
-    for n, p in parent_of.items():
-        if p is not None and p not in parent_of:
-            raise TraceFormatError(f"node {n.hex} references unknown parent {p.hex}")
+    for node, parent, *_ in rows:
+        if parent is not None and parent not in seen:
+            raise TraceFormatError(f"node {node.hex} references unknown parent {parent.hex}")
     try:
-        graph = TypedTemporalGraph(
-            nodes=frozenset(order),
-            edges=frozenset((p, n) for n, p in parent_of.items() if p is not None),
-            t=t,
-            tau=tau,
-            type_set=frozenset(tau.values()),
-            payloads=payloads,
-        )
+        graph = graph_from_rows(rows)
     except ValueError as exc:
         raise TraceFormatError(f"rows do not form a representable graph: {exc}") from exc
     return graph, roots[0], session

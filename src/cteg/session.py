@@ -14,6 +14,12 @@ This keeps every causal edge strictly increasing under frozen or colliding
 clocks while still allowing sibling nodes of different sessions to share a
 timestamp.
 
+A session keeps its trace as append-only node-table rows, so an emit or a
+graft costs what it adds, not the size of the trace. No step re-validates
+the whole trace: `snapshot` builds the graph from the rows and validates it
+once per change. `history` is materialised on demand from row prefixes, and
+an invocation label carries the settled child's own history.
+
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
 sessions may progress concurrently. Nothing is ever removed or rewritten;
@@ -30,23 +36,22 @@ from typing import Callable, Sequence
 
 from .core import (
     ActionId,
+    CompatibilityError,
     Cteg,
     CtegError,
+    DisjointnessError,
     EventType,
+    Row,
     Timestamp,
-    TypedTemporalGraph,
     UnknownNodeError,
     _OpaqueId,
-    graft_cteg,
+    graph_from_rows,
 )
 from .dynamics import (
     Emission,
     EmptyEmissionError,
     ExecutionSequence,
     Invocation,
-    StepLabel,
-    apply_emission,
-    e0_normalize,
 )
 
 __all__ = [
@@ -158,10 +163,12 @@ class Session:
 
         root = ActionId.fresh(id_factory)
         root_ts = self._clock.issue()
-        g = TypedTemporalGraph.trivial(root, root_ts, root_type, payload=payload)
-        self._trace = Cteg(g, root)
-        self._graphs: list[TypedTemporalGraph] = [g]
-        self._steps: list[StepLabel] = []
+        self._root = root
+        self._rows: list[Row] = [(root, None, root_ts, root_type, payload)]
+        self._t: dict[ActionId, Timestamp] = {root: root_ts}
+        self._marks: list[int] = [1]  # row count of each state in turn
+        self._steps: list[Emission | tuple[ActionId, Session]] = []
+        self._snapshot: Cteg | None = None
 
     @property
     def id(self) -> SessionId:
@@ -173,17 +180,24 @@ class Session:
 
     @property
     def root(self) -> ActionId:
-        return self._trace.root
+        return self._root
 
     def snapshot(self) -> Cteg:
-        """The current trace as an immutable, always-valid value."""
+        """The current trace as an immutable, always-valid value, validated once per change."""
         with self._lock:
-            return self._trace
+            if self._snapshot is None:
+                self._snapshot = Cteg(graph_from_rows(self._rows), self._root)
+            return self._snapshot
 
     def history(self) -> ExecutionSequence:
-        """Every state the trace has passed through, with step labels."""
+        """Every state the trace has passed through, with step labels, built on demand."""
         with self._lock:
-            return ExecutionSequence(tuple(self._graphs), tuple(self._steps))
+            graphs = tuple(graph_from_rows(self._rows[:mark]) for mark in self._marks)
+            labels = tuple(
+                step if isinstance(step, Emission) else Invocation(step[0], step[1].history(), step[1].root)
+                for step in self._steps
+            )
+            return ExecutionSequence(graphs, labels)
 
     def emit(self, parent: ActionId, events: Sequence[tuple[EventType, bytes]]) -> list[ActionId]:
         """Add one batch of typed events as children of `parent`.
@@ -193,21 +207,21 @@ class Session:
         """
         with self._lock:
             self._require_active()
-            if parent not in self._trace.graph.nodes:
+            if parent not in self._t:
                 raise UnknownNodeError(f"emission parent {parent.hex} is not in the trace")
             if not events:
                 raise EmptyEmissionError("emit requires at least one event")
-            parent_ts = self._trace.graph.t[parent]
-            ids: list[ActionId] = []
-            new: dict[ActionId, tuple[Timestamp, EventType]] = {}
-            payloads: dict[ActionId, bytes] = {}
-            for event_type, payload in events:
-                node = ActionId.fresh(self._id_factory)
-                new[node] = (self._clock.issue(floor=parent_ts), event_type)
-                payloads[node] = payload
-                ids.append(node)
-            g2 = apply_emission(self._trace.graph, parent, new, payloads=payloads)
-            self._advance(Cteg(g2, self._trace.root), Emission(parent, frozenset(ids)))
+            floor = self._t[parent]
+            rows: list[Row] = [
+                (ActionId.fresh(self._id_factory), parent, self._clock.issue(floor=floor), kind, payload)
+                for kind, payload in events
+            ]
+            ids = [row[0] for row in rows]
+            if len(set(ids)) != len(ids) or any(n in self._t for n in ids):
+                raise DisjointnessError("emitted node ids are not fresh")
+            self._rows.extend(rows)
+            self._t.update((row[0], row[2]) for row in rows)
+            self._advance(Emission(parent, frozenset(ids)))
             return ids
 
     def invoke_subagent(
@@ -224,12 +238,12 @@ class Session:
         """
         with self._lock:
             self._require_active()
-            if parent not in self._trace.graph.nodes:
+            if parent not in self._t:
                 raise UnknownNodeError(f"invocation parent {parent.hex} is not in the trace")
             child = Session(
                 root_type,
                 payload=payload,
-                lower_bound=self._trace.graph.t[parent],
+                lower_bound=self._t[parent],
                 wall_clock=self._wall,
                 id_factory=self._id_factory,
             )
@@ -268,29 +282,34 @@ class Session:
             with child._lock:
                 if child._status is not SessionStatus.ACTIVE:
                     raise InactiveSessionError(f"child session is already {child._status.value}")
-                child_trace = child._trace
                 if graft_trace:
-                    merged = graft_cteg(self._trace, handle.parent_node, child_trace)
-                    label = Invocation(
-                        root=handle.parent_node,
-                        subtrace=e0_normalize(child_trace),
-                        attach=child_trace.root,
-                    )
-                    self._advance(merged, label)
+                    # The grafted edge is the only place well-formedness could break.
+                    p, (root, _, root_ts, root_type, payload) = handle.parent_node, child._rows[0]
+                    if not self._t[p] < root_ts:
+                        raise CompatibilityError(
+                            f"attach point t={self._t[p].micros} is not strictly below grafted root "
+                            f"t={root_ts.micros}"
+                        )
+                    if any(n in self._t for n in child._t):
+                        raise DisjointnessError("child trace shares node ids with the parent trace")
+                    self._rows.append((root, p, root_ts, root_type, payload))
+                    self._rows.extend(child._rows[1:])
+                    self._t.update(child._t)
+                    self._advance((p, child))
                 child._status = final_status
             handle._consumed = True
 
-    def _advance(self, trace: Cteg, label: StepLabel) -> None:
-        self._trace = trace
-        self._graphs.append(trace.graph)
-        self._steps.append(label)
+    def _advance(self, step: Emission | tuple[ActionId, "Session"]) -> None:
+        self._marks.append(len(self._rows))
+        self._steps.append(step)
+        self._snapshot = None
 
     def _require_active(self) -> None:
         if self._status is not SessionStatus.ACTIVE:
             raise InactiveSessionError(f"session is {self._status.value}")
 
     def __repr__(self) -> str:
-        return f"Session(id={self._id.hex[:8]}, status={self._status.value}, nodes={len(self._trace.graph.nodes)})"
+        return f"Session(id={self._id.hex[:8]}, status={self._status.value}, nodes={len(self._rows)})"
 
 
 def begin_session(

@@ -4,6 +4,7 @@ Covered claims:
     - identifier, timestamp and type invariants hold at construction
     - validators report every violated arborescence / timestamp condition
     - root-to-node paths are unique (checked against brute-force search)
+    - node-table rows build the graph their parent pointers describe
     - grafting unions structure, preserves in-degrees, and composes two
       valid graphs exactly when the new edge strictly increases in time
     - temporal projection is a deterministic nondecreasing bijection and
@@ -35,6 +36,7 @@ from cteg import (
     validate_causal_graph,
     validate_cteg,
 )
+from cteg.core import graph_from_rows
 from util import aid, all_simple_paths, brute_force_in_degrees, cteg, ctegs, graph, random_cteg, ts, ty
 
 
@@ -129,6 +131,30 @@ class TestGraphConstruction:
         assert g1 == g2
         assert hash(g1) == hash(g2)
         assert g1 != graph({1: 0, 2: 2}, {(1, 2)})
+
+
+class TestGraphFromRows:
+    def test_rows_become_nodes_and_parent_edges(self):
+        rows = [
+            (aid(1), None, ts(0), ty("task"), b"r"),
+            (aid(2), aid(1), ts(1), ty("tool"), b""),
+            (aid(3), aid(1), ts(2), ty("task"), b"x"),
+        ]
+        expected = graph(
+            {1: 0, 2: 1, 3: 2},
+            {(1, 2), (1, 3)},
+            types={1: "task", 2: "tool", 3: "task"},
+            payloads={1: b"r", 3: b"x"},
+        )
+        assert graph_from_rows(rows) == expected
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(ValueError, match="more than one row"):
+            graph_from_rows([(aid(1), None, ts(0), ty("evt"), b""), (aid(1), None, ts(1), ty("evt"), b"")])
+
+    def test_parent_outside_the_rows_rejected(self):
+        with pytest.raises(ValueError, match="endpoint"):
+            graph_from_rows([(aid(2), aid(1), ts(1), ty("evt"), b"")])
 
 
 class TestValidateCausalGraph:

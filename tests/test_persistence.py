@@ -5,8 +5,10 @@ Covered claims:
       timestamps, single roots and unique node ids at append time
     - reconstruction by pointer resolution is the exact inverse of writing
     - the file store replays its log on open, rejects semantic corruption,
-      ignores a torn trailing record, and every record-boundary prefix of
+      cuts off a torn trailing record, and every record-boundary prefix of
       the log still reconstructs valid traces
+    - the file store stays appendable after a cut at any byte, and a write
+      that fails, wholly or part-way, leaves nothing admitted or stored
     - the trace text format is canonical: export is deterministic, import
       inverts it bit-exactly, and malformed text is reported line by line
 """
@@ -221,6 +223,74 @@ class TestFileStore:
         path.write_bytes(data + b"\x99\x00\x00\x00partial")
         reopened = FileStore(path)
         assert reopened.load_session(sid(1)).graph.nodes == {aid(10)}
+
+    def test_store_stays_appendable_after_a_cut_at_any_byte(self, tmp_path):
+        path = tmp_path / "log.cteg"
+        store = FileStore(path)
+        store.register_session(sid(1))
+        store.append_node(record(sid(1), 10, None, 0, payload=b"root"))
+        store.append_node(record(sid(1), 11, 10, 1, payload=b"child"))
+        data = path.read_bytes()
+        boundaries = record_boundaries(data, len(_MAGIC))
+        for cut in range(len(_MAGIC), len(data)):
+            path.write_bytes(data[:cut])
+            complete = sum(1 for b in boundaries if b <= cut) - 1  # records wholly before the cut
+            reopened = FileStore(path)
+            reopened.register_session(sid(2))
+            reopened.append_node(record(sid(2), 20, None, 5))
+            reopened.append_node(record(sid(2), 21, 20, 6))
+            again = FileStore(path)
+            expected = [sid(1)] if complete >= 1 else []
+            assert again.session_ids() == (*expected, sid(2)), f"cut at byte {cut}"
+            if complete >= 2:
+                kept = {aid(10), aid(11)} if complete == 3 else {aid(10)}
+                assert again.load_session(sid(1)).graph.nodes == kept, f"cut at byte {cut}"
+            assert again.load_session(sid(2)).graph.nodes == {aid(20), aid(21)}, f"cut at byte {cut}"
+
+    def test_failed_write_admits_nothing(self, tmp_path):
+        path = tmp_path / "log.cteg"
+        store = FileStore(path)
+        store.register_session(sid(1))
+        store.append_node(record(sid(1), 10, None, 0))
+        data = path.read_bytes()
+        path.unlink()
+        path.mkdir()  # every later open of the log for writing now raises an OSError
+        with pytest.raises(OSError):
+            store.register_session(sid(2))
+        with pytest.raises(OSError):
+            store.append_node(record(sid(1), 11, 10, 1))
+        assert store.session_ids() == (sid(1),)
+        assert store.load_session(sid(1)).graph.nodes == {aid(10)}
+        path.rmdir()
+        path.write_bytes(data)
+        store.register_session(sid(2))
+        store.append_node(record(sid(1), 11, 10, 1))
+        reopened = FileStore(path)
+        assert reopened.session_ids() == (sid(1), sid(2))
+        assert reopened.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
+
+    def test_partial_write_is_rolled_back(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        import signal
+
+        path = tmp_path / "log.cteg"
+        store = FileStore(path)
+        store.register_session(sid(1))
+        store.append_node(record(sid(1), 10, None, 0))
+        size = path.stat().st_size
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        try:
+            # the file may grow by 20 bytes: the next record gets cut part-way
+            resource.setrlimit(resource.RLIMIT_FSIZE, (size + 20, limits[1]))
+            with pytest.raises(OSError):
+                store.append_node(record(sid(1), 11, 10, 1, payload=b"x" * 100))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.stat().st_size == size
+        store.append_node(record(sid(1), 12, 10, 2))
+        assert FileStore(path).load_session(sid(1)).graph.nodes == {aid(10), aid(12)}
 
     def test_every_record_boundary_prefix_reconstructs(self, tmp_path):
         path = tmp_path / "log.cteg"

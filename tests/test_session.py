@@ -10,12 +10,16 @@ Covered claims:
     - failure keeps a valid partial trace (graft_partial) or none (discard)
     - snapshots are always valid and the recorded history is a member of
       the recursive closure
+    - the row-built history and snapshot match the reference step
+      functions replayed from the history's own labels
 """
 
 import random
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cteg import (
     ConsumedHandleError,
@@ -28,6 +32,8 @@ from cteg import (
     SessionStatus,
     Timestamp,
     UnknownNodeError,
+    apply_emission,
+    apply_invocation,
     begin_session,
     height,
     is_member_e_infinity,
@@ -294,3 +300,59 @@ class TestSnapshotAndHistory:
         worker.join()
         after = len(s.snapshot().graph.nodes)
         assert (before, after) == (1, 5)
+
+
+_OUTCOMES = st.sampled_from([None, FailurePolicy.GRAFT_PARTIAL, FailurePolicy.DISCARD])
+
+
+def _scripts(depth: int):
+    """Session scripts: emits (parent pick, type, batch size) and, below `depth`, nested invokes."""
+    op = st.tuples(st.just("emit"), st.integers(0, 99), st.sampled_from("abc"), st.integers(1, 3))
+    if depth > 0:
+        op = op | st.tuples(st.just("invoke"), st.integers(0, 99), _OUTCOMES, _scripts(depth - 1))
+    return st.lists(op, max_size=6)
+
+
+def _drive(session, script):
+    known = [session.root]
+    for op in script:
+        parent = known[op[1] % len(known)]
+        if op[0] == "emit":
+            _, _, name, size = op
+            known += session.emit(parent, [(ty(name), bytes([k])) for k in range(size)])
+            continue
+        _, _, outcome, sub = op
+        handle, child = session.invoke_subagent(parent, ty("sub"), payload=b"call")
+        _drive(child, sub)
+        if outcome is None:
+            session.complete_subagent(handle, child)
+        else:
+            session.fail_subagent(handle, child, outcome)
+        if outcome is not FailurePolicy.DISCARD:
+            known.append(child.root)
+
+
+def _replay(history):
+    """The graph chain rebuilt from the history's first graph and labels by the reference steps."""
+    final = history.final
+    graphs = [history.graphs[0]]
+    for label in history.steps:
+        if isinstance(label, Emission):
+            new = {n: (final.t[n], final.tau[n]) for n in label.emitted}
+            payloads = {n: final.payloads[n] for n in label.emitted}
+            graphs.append(apply_emission(graphs[-1], label.root, new, payloads=payloads))
+        else:
+            assert _replay(label.subtrace) == label.subtrace.graphs
+            graphs.append(apply_invocation(graphs[-1], label.root, label.subtrace, attach=label.attach))
+    return tuple(graphs)
+
+
+class TestRowsAgainstReference:
+    @given(script=_scripts(3), seed=st.integers(0, 2**32 - 1))
+    def test_history_and_snapshot_match_the_reference_steps(self, script, seed):
+        s = quiet_session(seed)
+        _drive(s, script)
+        history = s.history()
+        assert _replay(history) == history.graphs
+        assert s.snapshot().graph == history.final
+        assert is_member_e_infinity(history).ok
