@@ -83,7 +83,7 @@ def merkle_root(c: Cteg) -> Digest:
     while stack:
         n, children = stack.pop()
         if children is None:
-            children = sorted(g.children_map()[n], key=lambda ch: (g.t[ch], ch))
+            children = sorted(g.children_map()[n], key=lambda ch: (g.t[ch].micros, ch.value))
             stack.append((n, children))
             stack.extend((ch, None) for ch in children)
         else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import secrets
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -105,6 +106,11 @@ class _OpaqueId:
 
 class ActionId(_OpaqueId):
     """Globally unique node identity within and across graphs."""
+
+
+# Sorting on the raw bytes orders ids exactly as their own comparison does,
+# without a Python-level comparison per step.
+_id_bytes = attrgetter("value")
 
 
 _TS_MIN = -(2**63)
@@ -194,7 +200,9 @@ class TypedTemporalGraph:
     timestamps; those properties are what the validators diagnose. The
     timestamp and type maps must be total on the node set; payloads default
     to empty bytes for nodes they do not mention. Equality and hashing are
-    structural over all fields.
+    structural over all fields. The canonical key behind them is built from
+    raw values on the first comparison or hash and then cached, so building
+    a graph sorts nothing.
     """
 
     nodes: frozenset[ActionId]
@@ -237,16 +245,8 @@ class TypedTemporalGraph:
         object.__setattr__(self, "type_set", type_set)
         object.__setattr__(self, "payloads", payloads)
 
-        key = (
-            tuple(sorted(nodes)),
-            tuple(sorted(edges)),
-            tuple(sorted(t.items())),
-            tuple(sorted(tau.items())),
-            tuple(sorted(type_set)),
-            tuple(sorted(payloads.items())),
-        )
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_children", None)
         object.__setattr__(self, "_indeg", None)
 
@@ -269,13 +269,43 @@ class TypedTemporalGraph:
             payloads={node: payload},
         )
 
+    def _canonical_key(self) -> tuple:
+        """The graph's canonical form, built on first use and then cached.
+
+        Six parts of primitives (id bytes, microseconds, type names, payload
+        bytes): the sorted ids, the sorted edges, the timestamp and type
+        columns in id order, the sorted type set and the payload column in id
+        order. That orders graphs exactly as sorting the nodes, edges, maps
+        and type set as objects does.
+        """
+        key = self._key  # type: ignore[attr-defined]
+        if key is None:
+            order = sorted(self.nodes, key=_id_bytes)
+            t, tau, payloads = self.t, self.tau, self.payloads
+            key = (
+                tuple(n.value for n in order),
+                tuple(sorted((a.value, b.value) for a, b in self.edges)),
+                tuple(t[n].micros for n in order),
+                tuple(tau[n].name for n in order),
+                tuple(sorted(ty.name for ty in self.type_set)),
+                tuple(payloads[n] for n in order),
+            )
+            object.__setattr__(self, "_key", key)
+        return key
+
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TypedTemporalGraph):
             return NotImplemented
-        return self._key == other._key  # type: ignore[attr-defined]
+        return self._canonical_key() == other._canonical_key()
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        h = self._hash  # type: ignore[attr-defined]
+        if h is None:
+            h = hash(self._canonical_key())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"TypedTemporalGraph(nodes={len(self.nodes)}, edges={len(self.edges)})"
@@ -287,7 +317,7 @@ class TypedTemporalGraph:
             out: dict[ActionId, list[ActionId]] = {n: [] for n in self.nodes}
             for a, b in self.edges:
                 out[a].append(b)
-            cached = {n: tuple(sorted(cs)) for n, cs in out.items()}
+            cached = {n: tuple(sorted(cs, key=_id_bytes)) for n, cs in out.items()}
             object.__setattr__(self, "_children", cached)
         return cached
 
@@ -388,15 +418,15 @@ def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:
     if r not in g.nodes:
         return Diagnostics((Violation("unknown-root", f"root {r.hex} is not a node of the graph"),))
 
+    # Valid input has no offenders, so only offenders are sorted.
     indeg = g.in_degrees()
-    for a, b in sorted(g.edges):
-        if b == r:
+    if indeg[r]:
+        for a, b in sorted(e for e in g.edges if e[1] == r):
             violations.append(Violation("edge-into-root", f"edge ({a.hex}, {b.hex}) points into the root"))
-    for n in sorted(g.nodes):
-        if n != r and indeg[n] != 1:
-            violations.append(
-                Violation("in-degree", f"node {n.hex} has in-degree {indeg[n]}, expected exactly 1")
-            )
+    for n in sorted(n for n, d in indeg.items() if d != 1 and n != r):
+        violations.append(
+            Violation("in-degree", f"node {n.hex} has in-degree {indeg[n]}, expected exactly 1")
+        )
 
     children = g.children_map()
     reachable = {r}
@@ -436,14 +466,14 @@ def validate_cteg(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:
     base = validate_causal_graph(g, r)
     violations = list(base.violations)
     if r in g.nodes:
-        for a, b in sorted(g.edges):
-            if not g.t[a] < g.t[b]:
-                violations.append(
-                    Violation(
-                        "edge-timestamp",
-                        f"edge ({a.hex}, {b.hex}) has t={g.t[a].micros} not strictly below t={g.t[b].micros}",
-                    )
+        t = g.t
+        for a, b in sorted(e for e in g.edges if t[e[0]].micros >= t[e[1]].micros):
+            violations.append(
+                Violation(
+                    "edge-timestamp",
+                    f"edge ({a.hex}, {b.hex}) has t={t[a].micros} not strictly below t={t[b].micros}",
                 )
+            )
     return Diagnostics(tuple(violations))
 
 
@@ -510,7 +540,8 @@ def temporal_projection(c: Cteg) -> tuple[ActionId, ...]:
     Ties are broken by ascending node id so the projection is a deterministic
     function of the graph.
     """
-    return tuple(sorted(c.graph.nodes, key=lambda n: (c.graph.t[n], n)))
+    t = c.graph.t
+    return tuple(sorted(c.graph.nodes, key=lambda n: (t[n].micros, n.value)))
 
 
 def height(c: Cteg) -> int:

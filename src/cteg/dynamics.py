@@ -128,7 +128,8 @@ class ExecutionSequence:
     as a witness of how it was made; witness-free chains pass `steps=None`.
     Equality and hashing consider the graph chain only, so two sequences
     that built the same chain by differently labelled moves are the same
-    element of the sequence space.
+    element of the sequence space. The hash is computed on first use and
+    then cached.
     """
 
     graphs: tuple[TypedTemporalGraph, ...]
@@ -148,7 +149,7 @@ class ExecutionSequence:
                 raise ValueError("need exactly one step label per extension")
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "_hash", hash(graphs))
+        object.__setattr__(self, "_hash", None)
 
     @property
     def final(self) -> TypedTemporalGraph:
@@ -163,7 +164,11 @@ class ExecutionSequence:
         return self.graphs == other.graphs
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        h = self._hash  # type: ignore[attr-defined]
+        if h is None:
+            h = hash(self.graphs)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"ExecutionSequence(len={len(self.graphs)}, final_nodes={len(self.final.nodes)})"
@@ -469,7 +474,7 @@ class _Budget:
 
 
 def _seq_sort_key(seq: ExecutionSequence):
-    return tuple(g._key for g in seq.graphs)  # type: ignore[attr-defined]
+    return tuple(g._canonical_key() for g in seq.graphs)
 
 
 def _rename_graph(g: TypedTemporalGraph, m: Mapping[ActionId, ActionId]) -> TypedTemporalGraph:

@@ -23,6 +23,7 @@ session ids).
 from __future__ import annotations
 
 import base64
+import os
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -334,14 +335,22 @@ def _iter_complete_records(data: bytes, offset: int):
         offset = end
 
 
+def _open_log(path: Path):
+    """Unbuffered append handle on an existing log; raises OSError rather than create one."""
+    return open(path, "ab", buffering=0, opener=lambda p, flags: os.open(p, flags & ~os.O_CREAT))
+
+
 class FileStore(Store):
     """Single-file append log behind the store interface.
 
     Opening an existing file replays and re-validates every complete record;
     semantic violations (which cannot be produced through this interface)
-    therefore surface as corruption, and a torn tail is cut off. Each record
-    is written unbuffered before the store admits it; a failed write is
-    rolled back.
+    therefore surface as corruption, and a torn tail is cut off. The store
+    then keeps one unbuffered append handle until `close` (or the end of a
+    `with` block). Each record is written before the store admits it; a
+    failed or short write is rolled back. An append never goes to a log
+    that is no longer linked (removed, or replaced by a rename over it): it
+    reopens the path, and fails while no file is there.
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -352,6 +361,7 @@ class FileStore(Store):
             self._replay(self._path.read_bytes())
         else:
             self._path.write_bytes(_MAGIC)
+        self._log = _open_log(self._path)
 
     def _replay(self, data: bytes) -> None:
         if data[: len(_MAGIC)] != _MAGIC:
@@ -369,15 +379,31 @@ class FileStore(Store):
 
     def _write(self, rec: SessionId | NodeRecord, blob: bytes) -> None:
         self._mem._validate(rec)
-        with open(self._path, "ab", buffering=0) as fh:
-            start = fh.tell()
-            try:
-                if fh.write(blob) != len(blob):
-                    raise OSError(f"short write to {self._path}")
-            except OSError:
-                fh.truncate(start)  # a partial record would swallow the next append on reopen
-                raise
+        held = os.fstat(self._log.fileno())
+        if held.st_nlink == 0:
+            # The log is no longer linked: an append to it would be lost on reopen.
+            log = _open_log(self._path)
+            self._log.close()
+            self._log, held = log, os.fstat(log.fileno())
+        try:
+            if self._log.write(blob) != len(blob):
+                raise OSError(f"short write to {self._path}")
+        except OSError:
+            # A partial record would swallow the next append on reopen.
+            os.ftruncate(self._log.fileno(), held.st_size)
+            raise
         self._mem._admit(rec)
+
+    def close(self) -> None:
+        """Close the append handle; the store still answers reads, but refuses appends."""
+        with self._lock:
+            self._log.close()
+
+    def __enter__(self) -> "FileStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def register_session(self, session_id: SessionId | None = None) -> SessionId:
         with self._lock:

@@ -9,6 +9,8 @@ Covered claims:
       the log still reconstructs valid traces
     - the file store stays appendable after a cut at any byte, and a write
       that fails, wholly or part-way, leaves nothing admitted or stored
+    - the file store appends through one handle, and once closed it
+      refuses appends but still answers reads
     - the trace text format is canonical: export is deterministic, import
       inverts it bit-exactly, and malformed text is reported line by line
 """
@@ -33,6 +35,7 @@ from cteg import (
     parse_trace,
     validate_cteg,
 )
+from cteg import persistence
 from cteg.persistence import (
     CorruptStoreError,
     DuplicateNodeError,
@@ -291,6 +294,35 @@ class TestFileStore:
         assert path.stat().st_size == size
         store.append_node(record(sid(1), 12, 10, 2))
         assert FileStore(path).load_session(sid(1)).graph.nodes == {aid(10), aid(12)}
+
+    def test_appends_reuse_one_handle(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+
+            def no_open(*args, **kwargs):
+                raise AssertionError("the store reopened its log")
+
+            monkeypatch.setattr(persistence, "open", no_open, raising=False)
+            store.register_session(sid(1))
+            append_trace(store, sid(1), random_cteg(random.Random(3), 20))
+        monkeypatch.undo()
+        with FileStore(path) as reopened:
+            assert len(reopened.load_session(sid(1)).graph.nodes) == 20
+
+    def test_closed_store_refuses_appends_but_answers_reads(self, tmp_path):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 0))
+        size = path.stat().st_size
+        with pytest.raises(ValueError):
+            store.append_node(record(sid(1), 11, 10, 1))
+        assert path.stat().st_size == size
+        assert store.load_session(sid(1)).graph.nodes == {aid(10)}
+        with FileStore(path) as reopened:
+            reopened.append_node(record(sid(1), 11, 10, 1))
+        with FileStore(path) as again:
+            assert again.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
 
     def test_every_record_boundary_prefix_reconstructs(self, tmp_path):
         path = tmp_path / "log.cteg"

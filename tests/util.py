@@ -109,6 +109,22 @@ def ctegs(draw, max_nodes: int = 12) -> Cteg:
     return random_cteg(random.Random(seed), n)
 
 
+def reference_key(g: TypedTemporalGraph) -> tuple:
+    """Canonical key over the objects themselves: every field sorted as objects.
+
+    Reference for the graph's own key, which is built from raw values: both
+    must agree on equality and on the order they put graphs in.
+    """
+    return (
+        tuple(sorted(g.nodes)),
+        tuple(sorted(g.edges)),
+        tuple(sorted(g.t.items())),
+        tuple(sorted(g.tau.items())),
+        tuple(sorted(g.type_set)),
+        tuple(sorted(g.payloads.items())),
+    )
+
+
 def all_simple_paths(g: TypedTemporalGraph, src: ActionId, dst: ActionId) -> list[tuple[ActionId, ...]]:
     """Brute-force every simple directed path src..dst by DFS over edges."""
     adjacency: dict[ActionId, list[ActionId]] = {n: [] for n in g.nodes}
