@@ -12,6 +12,9 @@ strict-timestamp compatibility rule for composing two CTEGs, temporal
 projection, and longest-path height. Every value is immutable after
 construction and all operations are pure, so everything here is safe to
 share between threads without synchronization.
+
+The one mutable exception is `NodeTable`, the append-only node table that
+sessions and stores keep their traces in; every prefix of its rows is a CTEG.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 import secrets
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "CtegError",
@@ -28,6 +32,11 @@ __all__ = [
     "DisjointnessError",
     "CompatibilityError",
     "ValidationFailedError",
+    "StoreError",
+    "UnknownParentError",
+    "DuplicateNodeError",
+    "DuplicateRootError",
+    "TimestampOrderError",
     "ActionId",
     "Timestamp",
     "EventType",
@@ -36,6 +45,7 @@ __all__ = [
     "TypedTemporalGraph",
     "Cteg",
     "Row",
+    "NodeTable",
     "graph_from_rows",
     "validate_causal_graph",
     "validate_cteg",
@@ -71,6 +81,26 @@ class ValidationFailedError(CtegError):
         head = context or "graph is not a valid CTEG"
         details = "; ".join(str(v) for v in diagnostics.violations)
         super().__init__(f"{head}: {details}" if details else head)
+
+
+class StoreError(CtegError):
+    """Base class for store-level failures, node-table rejections among them."""
+
+
+class UnknownParentError(StoreError, UnknownNodeError):
+    """A row's parent is not in the node table yet."""
+
+
+class DuplicateNodeError(StoreError, DisjointnessError):
+    """A row's node id is already in the node table."""
+
+
+class DuplicateRootError(StoreError):
+    """A second parentless row was appended to the same node table."""
+
+
+class TimestampOrderError(StoreError, CompatibilityError):
+    """A row's timestamp does not strictly exceed its parent's."""
 
 
 @dataclass(frozen=True, order=True)
@@ -406,6 +436,74 @@ def graph_from_rows(rows: Iterable[Row]) -> TypedTemporalGraph:
             edges.append((parent, node))
         t[node], tau[node], payloads[node] = ts, event_type, payload
     return TypedTemporalGraph(frozenset(t), frozenset(edges), t, tau, frozenset(tau.values()), payloads)
+
+
+class NodeTable:
+    """Append-only node rows whose every prefix is a valid CTEG; owners serialize access.
+
+    The one incremental check of the row invariant (parent present, fresh
+    id, strictly later timestamp, one root); `validate_cteg` is the
+    whole-graph reference.
+    """
+
+    __slots__ = ("rows", "t")
+
+    def __init__(self) -> None:
+        self.rows: list[Row] = []
+        self.t: dict[ActionId, Timestamp] = {}
+
+    def time_of(self, parent: ActionId) -> Timestamp:
+        """The timestamp of a node that rows may hang under."""
+        ts = self.t.get(parent)
+        if ts is None:
+            raise UnknownParentError(f"parent {parent.hex} is not in the table")
+        return ts
+
+    def check(self, rows: Sequence[Row]) -> dict[ActionId, Timestamp]:
+        """Check a batch (parents may come earlier in it); return its `{node: ts}`, admitting nothing."""
+        t = self.t
+        new: dict[ActionId, Timestamp] = {}
+        for node, parent, ts, _, _ in rows:
+            if node in t or node in new:
+                raise DuplicateNodeError(f"node {node.hex} is already in the table")
+            if parent is None:
+                if t or new:
+                    raise DuplicateRootError("the table already has a parentless root row")
+            else:
+                pt = t.get(parent) or new.get(parent)
+                if pt is None:
+                    raise UnknownParentError(f"parent {parent.hex} is not in the table")
+                if not pt.micros < ts.micros:
+                    raise TimestampOrderError(f"node {node.hex} t={ts.micros} not above parent t={pt.micros}")
+            new[node] = ts
+        return new
+
+    def admit(self, rows: Sequence[Row], new: dict[ActionId, Timestamp]) -> None:
+        """Append a batch that `check` returned `new` for."""
+        self.rows.extend(rows)
+        self.t.update(new)
+
+    def append(self, rows: Sequence[Row]) -> None:
+        """Check a batch and admit it whole, or raise and admit none of it."""
+        self.admit(rows, self.check(rows))
+
+    def graft(self, p: ActionId, child: "NodeTable") -> None:
+        """Append a valid child table under `p`, checking only disjointness and the new edge."""
+        pt = self.time_of(p)
+        if not self.t.keys().isdisjoint(child.t):
+            raise DuplicateNodeError("child table shares node ids with this table")
+        root, _, root_ts, root_type, payload = child.rows[0]
+        if not pt.micros < root_ts.micros:
+            raise TimestampOrderError(
+                f"attach point t={pt.micros} is not strictly below grafted root t={root_ts.micros}"
+            )
+        self.rows.append((root, p, root_ts, root_type, payload))
+        self.rows.extend(islice(child.rows, 1, None))
+        self.t.update(child.t)
+
+    def to_cteg(self) -> Cteg:
+        """The table's trace, rooted at its first row."""
+        return Cteg(graph_from_rows(self.rows), self.rows[0][0])
 
 
 def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:

@@ -1,17 +1,20 @@
 """Append-only relational persistence and the canonical trace text format.
 
 A trace persists as rows of a node table: node id, session id, optional
-parent pointer, timestamp, event type and an opaque payload. The store
-interface is append-only by design; rows are validated on the way in
-(registered session, parent already present, strictly increasing timestamp,
-single root) so that every per-session reconstruction is a valid CTEG at
-all times, including after a crash that truncated the log.
+parent pointer, timestamp, event type and an opaque payload. The stores are
+append-only by design. Each session's rows live in a `core.NodeTable`, the
+same table a live session keeps, so the store checks only what is its own
+(registered session, payload cap) and the table checks the row (parent
+already present, fresh id, strictly increasing timestamp, single root).
+Every per-session reconstruction is thus a valid CTEG at all times,
+including after a crash that truncated the log.
 
-Two stores implement the interface: an in-memory one and a single-file
-append log. The file layout is a `CTEGSTORE1` magic header followed by
+`MemoryStore` keeps the tables in memory; `FileStore` is a `MemoryStore`
+that also writes each validated change to a single-file append log before
+admitting it. The file layout is a `CTEGSTORE1` magic header followed by
 length-prefixed little-endian binary records; a torn trailing record is
-cut off on open, while any complete but inconsistent record is reported as
-corruption.
+cut off on open, and a file cut short inside its header is a new log,
+while any complete but inconsistent record is reported as corruption.
 
 The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
@@ -25,7 +28,6 @@ from __future__ import annotations
 import base64
 import os
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from threading import RLock
@@ -35,10 +37,16 @@ from .core import (
     ActionId,
     Cteg,
     CtegError,
+    DuplicateNodeError,
+    DuplicateRootError,
     EventType,
+    NodeTable,
     Row,
+    StoreError,
     Timestamp,
+    TimestampOrderError,
     TypedTemporalGraph,
+    UnknownParentError,
     graph_from_rows,
     temporal_projection,
 )
@@ -58,7 +66,6 @@ __all__ = [
     "TraceFormatError",
     "DEFAULT_PAYLOAD_CAP",
     "NodeRecord",
-    "Store",
     "MemoryStore",
     "FileStore",
     "append_trace",
@@ -69,32 +76,12 @@ __all__ = [
 ]
 
 
-class StoreError(CtegError):
-    """Base class for store-level failures."""
-
-
 class UnknownSessionError(StoreError):
     """The session id is not registered in the store."""
 
 
 class DuplicateSessionError(StoreError):
     """The session id is already registered."""
-
-
-class UnknownParentError(StoreError):
-    """The row's parent has not been appended for this session yet."""
-
-
-class DuplicateNodeError(StoreError):
-    """The (session, node) pair already exists in the store."""
-
-
-class DuplicateRootError(StoreError):
-    """A second parentless row was appended for the same session."""
-
-
-class TimestampOrderError(StoreError):
-    """A row's timestamp does not strictly exceed its parent's."""
 
 
 class PayloadTooLargeError(StoreError):
@@ -128,119 +115,77 @@ class NodeRecord:
     payload: bytes = b""
 
 
-class _SessionRows:
-    """Per-session append state used for validation and reconstruction."""
-
-    __slots__ = ("records", "by_node")
-
-    def __init__(self) -> None:
-        self.records: list[NodeRecord] = []  # the first is the root: parents come first
-        self.by_node: dict[ActionId, NodeRecord] = {}
+# A validated row: its session's table, the row as a batch and the batch's `{node: ts}`.
+_Checked = tuple[NodeTable, tuple[Row], dict[ActionId, Timestamp]]
 
 
-class Store(ABC):
-    """Append-only session and node storage.
+class MemoryStore:
+    """Append-only in-memory store: one node table per registered session.
 
     The interface deliberately offers no update or delete: the only ways to
-    change a store are registering a session and appending a node row.
+    change a store are registering a session and appending a node row. Each
+    change is validated, handed to the `_write` hook, then admitted.
     """
-
-    @abstractmethod
-    def register_session(self, session_id: SessionId | None = None) -> SessionId:
-        """Record a session id (minting a fresh one when none is given)."""
-
-    @abstractmethod
-    def append_node(self, rec: NodeRecord) -> None:
-        """Validate and durably append one node row."""
-
-    @abstractmethod
-    def load_session(self, session_id: SessionId) -> Cteg:
-        """Reconstruct the session's trace by pointer resolution."""
-
-    @abstractmethod
-    def session_ids(self) -> tuple[SessionId, ...]:
-        """All registered session ids, in registration order."""
-
-
-class MemoryStore(Store):
-    """In-memory store; the validation reference for the file-backed one."""
 
     def __init__(self, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
         self._payload_cap = payload_cap
-        self._sessions: dict[SessionId, _SessionRows] = {}
-        self._order: list[SessionId] = []
+        self._tables: dict[SessionId, NodeTable] = {}  # in registration order
         self._lock = RLock()
 
     def register_session(self, session_id: SessionId | None = None) -> SessionId:
+        """Record a session id (minting a fresh one when none is given)."""
         with self._lock:
             sid = session_id if session_id is not None else SessionId.fresh()
-            self._validate(sid)
-            self._admit(sid)
+            self._append(sid)
             return sid
 
     def append_node(self, rec: NodeRecord) -> None:
+        """Validate and append one node row."""
         with self._lock:
-            self._validate(rec)
-            self._admit(rec)
+            self._append(rec)
 
-    def _validate(self, rec: SessionId | NodeRecord) -> None:
+    def _append(self, rec: SessionId | NodeRecord) -> None:
+        checked = self._validate(rec)
+        self._write(rec)
+        self._admit(rec, checked)
+
+    def _validate(self, rec: SessionId | NodeRecord) -> _Checked | None:
         if isinstance(rec, SessionId):
-            if rec in self._sessions:
+            if rec in self._tables:
                 raise DuplicateSessionError(f"session {rec.hex} is already registered")
-            return
-        rows = self._sessions.get(rec.session_id)
-        if rows is None:
+            return None
+        table = self._tables.get(rec.session_id)
+        if table is None:
             raise UnknownSessionError(f"session {rec.session_id.hex} is not registered")
         if len(rec.payload) > self._payload_cap:
-            raise PayloadTooLargeError(
-                f"payload of {len(rec.payload)} bytes exceeds cap of {self._payload_cap}"
-            )
-        if rec.node_id in rows.by_node:
-            raise DuplicateNodeError(f"node {rec.node_id.hex} already appended for this session")
-        if rec.parent_id is None:
-            if rows.records:
-                raise DuplicateRootError("session already has a parentless root row")
-        else:
-            parent = rows.by_node.get(rec.parent_id)
-            if parent is None:
-                raise UnknownParentError(
-                    f"parent {rec.parent_id.hex} has not been appended for this session"
-                )
-            if not parent.timestamp < rec.timestamp:
-                raise TimestampOrderError(
-                    f"node {rec.node_id.hex} t={rec.timestamp.micros} does not strictly exceed "
-                    f"parent t={parent.timestamp.micros}"
-                )
+            raise PayloadTooLargeError(f"payload of {len(rec.payload)} bytes exceeds cap of {self._payload_cap}")
+        rows = ((rec.node_id, rec.parent_id, rec.timestamp, rec.event_type, rec.payload),)
+        return table, rows, table.check(rows)
 
-    def _admit(self, rec: SessionId | NodeRecord) -> None:
-        if isinstance(rec, SessionId):
-            self._sessions[rec] = _SessionRows()
-            self._order.append(rec)
-            return
-        rows = self._sessions[rec.session_id]
-        rows.records.append(rec)
-        rows.by_node[rec.node_id] = rec
+    def _write(self, rec: SessionId | NodeRecord) -> None:
+        """Persist a validated change before it is admitted; memory needs nothing."""
+
+    def _admit(self, rec: SessionId | NodeRecord, checked: _Checked | None) -> None:
+        if checked is None:
+            self._tables[rec] = NodeTable()
+        else:
+            table, rows, new = checked
+            table.admit(rows, new)
 
     def load_session(self, session_id: SessionId) -> Cteg:
+        """Reconstruct the session's trace by pointer resolution."""
         with self._lock:
-            rows = self._sessions.get(session_id)
-            if rows is None:
+            table = self._tables.get(session_id)
+            if table is None:
                 raise UnknownSessionError(f"session {session_id.hex} is not registered")
-            if not rows.records:
+            if not table.rows:
                 raise EmptySessionError(f"session {session_id.hex} has no rows")
-            return _assemble(rows.records)
+            return table.to_cteg()
 
     def session_ids(self) -> tuple[SessionId, ...]:
+        """All registered session ids, in registration order."""
         with self._lock:
-            return tuple(self._order)
-
-
-def _assemble(records: list[NodeRecord]) -> Cteg:
-    rows = ((r.node_id, r.parent_id, r.timestamp, r.event_type, r.payload) for r in records)
-    try:
-        return Cteg(graph_from_rows(rows), records[0].node_id)
-    except (ValueError, CtegError) as exc:
-        raise CorruptStoreError(f"session rows do not reconstruct a valid trace: {exc}") from exc
+            return tuple(self._tables)
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +197,15 @@ _KIND_SESSION = 1
 _KIND_NODE = 2
 
 
-def _encode_session_record(sid: SessionId) -> bytes:
-    body = bytes([_KIND_SESSION]) + sid.value
-    return struct.pack("<I", len(body)) + body
-
-
-def _encode_node_record(rec: NodeRecord) -> bytes:
-    type_bytes = rec.event_type.name.encode("utf-8")
-    parts = [
-        bytes([_KIND_NODE]),
-        rec.node_id.value,
-        rec.session_id.value,
-        b"\x01" + rec.parent_id.value if rec.parent_id is not None else b"\x00",
-        struct.pack("<q", rec.timestamp.micros),
-        struct.pack("<H", len(type_bytes)),
-        type_bytes,
-        struct.pack("<I", len(rec.payload)),
-        rec.payload,
-    ]
-    body = b"".join(parts)
+def _encode_record(rec: SessionId | NodeRecord) -> bytes:
+    if isinstance(rec, SessionId):
+        body = bytes([_KIND_SESSION]) + rec.value
+    else:
+        name = rec.event_type.name.encode("utf-8")
+        parent = b"\x01" + rec.parent_id.value if rec.parent_id is not None else b"\x00"
+        ids = bytes([_KIND_NODE]) + rec.node_id.value + rec.session_id.value + parent
+        sizes = struct.pack("<qH", rec.timestamp.micros, len(name))
+        body = b"".join((ids, sizes, name, struct.pack("<I", len(rec.payload)), rec.payload))
     return struct.pack("<I", len(body)) + body
 
 
@@ -340,12 +275,13 @@ def _open_log(path: Path):
     return open(path, "ab", buffering=0, opener=lambda p, flags: os.open(p, flags & ~os.O_CREAT))
 
 
-class FileStore(Store):
-    """Single-file append log behind the store interface.
+class FileStore(MemoryStore):
+    """Single-file append log behind the in-memory store.
 
     Opening an existing file replays and re-validates every complete record;
     semantic violations (which cannot be produced through this interface)
-    therefore surface as corruption, and a torn tail is cut off. The store
+    therefore surface as corruption, and a torn tail is cut off. A missing
+    file, or one cut short inside its header, starts a new log. The store
     then keeps one unbuffered append handle until `close` (or the end of a
     `with` block). Each record is written before the store admits it; a
     failed or short write is rolled back. An append never goes to a log
@@ -354,13 +290,14 @@ class FileStore(Store):
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
+        super().__init__(payload_cap)
         self._path = Path(path)
-        self._mem = MemoryStore(payload_cap)
-        self._lock = RLock()
-        if self._path.exists():
-            self._replay(self._path.read_bytes())
-        else:
+        data = self._path.read_bytes() if self._path.exists() else b""
+        if len(data) < len(_MAGIC) and _MAGIC.startswith(data):
+            # A crash while the log was being created leaves it empty or cut in its header.
             self._path.write_bytes(_MAGIC)
+        else:
+            self._replay(data)
         self._log = _open_log(self._path)
 
     def _replay(self, data: bytes) -> None:
@@ -369,16 +306,15 @@ class FileStore(Store):
         end = len(_MAGIC)
         try:
             for record, end in _iter_complete_records(data, end):
-                self._mem._validate(record)
-                self._mem._admit(record)
+                self._admit(record, self._validate(record))
         except StoreError as exc:
             raise CorruptStoreError(f"replay failed: {exc}") from exc
         if end < len(data):
             with open(self._path, "r+b") as fh:
                 fh.truncate(end)
 
-    def _write(self, rec: SessionId | NodeRecord, blob: bytes) -> None:
-        self._mem._validate(rec)
+    def _write(self, rec: SessionId | NodeRecord) -> None:
+        blob = _encode_record(rec)
         held = os.fstat(self._log.fileno())
         if held.st_nlink == 0:
             # The log is no longer linked: an append to it would be lost on reopen.
@@ -392,7 +328,6 @@ class FileStore(Store):
             # A partial record would swallow the next append on reopen.
             os.ftruncate(self._log.fileno(), held.st_size)
             raise
-        self._mem._admit(rec)
 
     def close(self) -> None:
         """Close the append handle; the store still answers reads, but refuses appends."""
@@ -405,26 +340,8 @@ class FileStore(Store):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def register_session(self, session_id: SessionId | None = None) -> SessionId:
-        with self._lock:
-            sid = session_id if session_id is not None else SessionId.fresh()
-            self._write(sid, _encode_session_record(sid))
-            return sid
 
-    def append_node(self, rec: NodeRecord) -> None:
-        with self._lock:
-            self._write(rec, _encode_node_record(rec))
-
-    def load_session(self, session_id: SessionId) -> Cteg:
-        with self._lock:
-            return self._mem.load_session(session_id)
-
-    def session_ids(self) -> tuple[SessionId, ...]:
-        with self._lock:
-            return self._mem.session_ids()
-
-
-def append_trace(store: Store, session_id: SessionId, c: Cteg) -> None:
+def append_trace(store: MemoryStore, session_id: SessionId, c: Cteg) -> None:
     """Write a whole trace as rows, parents before children.
 
     Temporal projection order guarantees every parent row precedes its

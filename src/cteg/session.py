@@ -14,11 +14,13 @@ This keeps every causal edge strictly increasing under frozen or colliding
 clocks while still allowing sibling nodes of different sessions to share a
 timestamp.
 
-A session keeps its trace as append-only node-table rows, so an emit or a
-graft costs what it adds, not the size of the trace. No step re-validates
-the whole trace: `snapshot` builds the graph from the rows and validates it
-once per change. `history` is materialised on demand from row prefixes, and
-an invocation label carries the settled child's own history.
+A session keeps its trace in a `core.NodeTable`, the append-only node
+table the stores keep too, so an emit or a graft costs what it adds, not
+the size of the trace. The table checks each emitted batch row by row and
+each graft by its one new edge. No step re-validates the whole trace:
+`snapshot` builds the graph from the rows and validates it once per
+change. `history` is materialised on demand from row prefixes, and an
+invocation label carries the settled child's own history.
 
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
@@ -36,14 +38,12 @@ from typing import Callable, Sequence
 
 from .core import (
     ActionId,
-    CompatibilityError,
     Cteg,
     CtegError,
-    DisjointnessError,
     EventType,
+    NodeTable,
     Row,
     Timestamp,
-    UnknownNodeError,
     _OpaqueId,
     graph_from_rows,
 )
@@ -164,8 +164,8 @@ class Session:
         root = ActionId.fresh(id_factory)
         root_ts = self._clock.issue()
         self._root = root
-        self._rows: list[Row] = [(root, None, root_ts, root_type, payload)]
-        self._t: dict[ActionId, Timestamp] = {root: root_ts}
+        self._table = NodeTable()
+        self._table.append([(root, None, root_ts, root_type, payload)])
         self._marks: list[int] = [1]  # row count of each state in turn
         self._steps: list[Emission | tuple[ActionId, Session]] = []
         self._snapshot: Cteg | None = None
@@ -186,13 +186,13 @@ class Session:
         """The current trace as an immutable, always-valid value, validated once per change."""
         with self._lock:
             if self._snapshot is None:
-                self._snapshot = Cteg(graph_from_rows(self._rows), self._root)
+                self._snapshot = self._table.to_cteg()
             return self._snapshot
 
     def history(self) -> ExecutionSequence:
         """Every state the trace has passed through, with step labels, built on demand."""
         with self._lock:
-            graphs = tuple(graph_from_rows(self._rows[:mark]) for mark in self._marks)
+            graphs = tuple(graph_from_rows(self._table.rows[:mark]) for mark in self._marks)
             labels = tuple(
                 step if isinstance(step, Emission) else Invocation(step[0], step[1].history(), step[1].root)
                 for step in self._steps
@@ -207,20 +207,15 @@ class Session:
         """
         with self._lock:
             self._require_active()
-            if parent not in self._t:
-                raise UnknownNodeError(f"emission parent {parent.hex} is not in the trace")
+            floor = self._table.time_of(parent)
             if not events:
                 raise EmptyEmissionError("emit requires at least one event")
-            floor = self._t[parent]
             rows: list[Row] = [
                 (ActionId.fresh(self._id_factory), parent, self._clock.issue(floor=floor), kind, payload)
                 for kind, payload in events
             ]
+            self._table.append(rows)
             ids = [row[0] for row in rows]
-            if len(set(ids)) != len(ids) or any(n in self._t for n in ids):
-                raise DisjointnessError("emitted node ids are not fresh")
-            self._rows.extend(rows)
-            self._t.update((row[0], row[2]) for row in rows)
             self._advance(Emission(parent, frozenset(ids)))
             return ids
 
@@ -238,12 +233,10 @@ class Session:
         """
         with self._lock:
             self._require_active()
-            if parent not in self._t:
-                raise UnknownNodeError(f"invocation parent {parent.hex} is not in the trace")
             child = Session(
                 root_type,
                 payload=payload,
-                lower_bound=self._t[parent],
+                lower_bound=self._table.time_of(parent),
                 wall_clock=self._wall,
                 id_factory=self._id_factory,
             )
@@ -283,24 +276,13 @@ class Session:
                 if child._status is not SessionStatus.ACTIVE:
                     raise InactiveSessionError(f"child session is already {child._status.value}")
                 if graft_trace:
-                    # The grafted edge is the only place well-formedness could break.
-                    p, (root, _, root_ts, root_type, payload) = handle.parent_node, child._rows[0]
-                    if not self._t[p] < root_ts:
-                        raise CompatibilityError(
-                            f"attach point t={self._t[p].micros} is not strictly below grafted root "
-                            f"t={root_ts.micros}"
-                        )
-                    if any(n in self._t for n in child._t):
-                        raise DisjointnessError("child trace shares node ids with the parent trace")
-                    self._rows.append((root, p, root_ts, root_type, payload))
-                    self._rows.extend(child._rows[1:])
-                    self._t.update(child._t)
-                    self._advance((p, child))
+                    self._table.graft(handle.parent_node, child._table)
+                    self._advance((handle.parent_node, child))
                 child._status = final_status
             handle._consumed = True
 
     def _advance(self, step: Emission | tuple[ActionId, "Session"]) -> None:
-        self._marks.append(len(self._rows))
+        self._marks.append(len(self._table.rows))
         self._steps.append(step)
         self._snapshot = None
 
@@ -309,7 +291,7 @@ class Session:
             raise InactiveSessionError(f"session is {self._status.value}")
 
     def __repr__(self) -> str:
-        return f"Session(id={self._id.hex[:8]}, status={self._status.value}, nodes={len(self._rows)})"
+        return f"Session(id={self._id.hex[:8]}, status={self._status.value}, nodes={len(self._table.rows)})"
 
 
 def begin_session(

@@ -253,13 +253,13 @@ def test_c08_persistence_round_trip_and_crash_prefix(tmp_path):
             problems.append(f"trace {i}: round trip differs")
 
     path = tmp_path / "log.cteg"
-    store = FileStore(path)
-    sessions = [store.register_session() for _ in range(4)]
-    total_nodes = 0
-    for session in sessions:
-        c = random_cteg(rng, 24)
-        total_nodes += 24
-        append_trace(store, session, c)
+    with FileStore(path) as store:
+        sessions = [store.register_session() for _ in range(4)]
+        total_nodes = 0
+        for session in sessions:
+            c = random_cteg(rng, 24)
+            total_nodes += 24
+            append_trace(store, session, c)
     data = path.read_bytes()
     boundaries = record_boundaries(data, len(_MAGIC))
     if len(boundaries) < 100:
@@ -267,14 +267,14 @@ def test_c08_persistence_round_trip_and_crash_prefix(tmp_path):
     for i, boundary in enumerate(boundaries):
         trimmed = tmp_path / "prefix.cteg"
         trimmed.write_bytes(data[:boundary])
-        partial = FileStore(trimmed)
-        for session in partial.session_ids():
-            try:
-                snap = partial.load_session(session)
-            except EmptySessionError:
-                continue
-            if not validate_cteg(snap.graph, snap.root).ok:
-                problems.append(f"prefix {i}: session reconstructs invalid")
+        with FileStore(trimmed) as partial:
+            for session in partial.session_ids():
+                try:
+                    snap = partial.load_session(session)
+                except EmptySessionError:
+                    continue
+                if not validate_cteg(snap.graph, snap.root).ok:
+                    problems.append(f"prefix {i}: session reconstructs invalid")
         trimmed.unlink()
     report(
         8,

@@ -1,0 +1,208 @@
+"""Property tests of the append-only node table against the whole-graph references.
+
+Covered claims:
+    - a row appended alone is accepted exactly when the table's rows plus
+      that row form a valid CTEG under `validate_cteg` (a row set that
+      `graph_from_rows` cannot even represent counts as a rejection)
+    - a batch is admitted whole exactly when its rows would be admitted one
+      by one, and a rejected batch leaves the rows and timestamps unchanged
+    - a table graft is accepted exactly when `graft_cteg` on the two traces
+      succeeds, raises the same kind of error when it does not, and yields
+      the same graph when it does
+    - the in-memory and the file-backed store raise the same error class
+      for the same bad record, and the file replays to the same traces
+"""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cteg import (
+    CompatibilityError,
+    Cteg,
+    CtegError,
+    DisjointnessError,
+    FileStore,
+    MemoryStore,
+    NodeRecord,
+    SessionId,
+    UnknownNodeError,
+    graft_cteg,
+    validate_cteg,
+)
+from cteg.core import NodeTable, StoreError, graph_from_rows
+from util import aid, ts, ty
+
+FAULTS = ("unknown-parent", "reused-id", "equal-time", "earlier-time", "second-root", "parent-first")
+
+# One scripted row: a fault to inject (or none), a pick among the accepted nodes and a time step.
+_steps = st.tuples(st.sampled_from((None,) * 6 + FAULTS), st.integers(0, 99), st.integers(1, 5))
+_scripts = st.lists(_steps, max_size=25)
+
+
+def _row(rows, fault, pick, step, fresh):
+    """The next row for a table holding `rows`, with `fault` injected when it applies."""
+    if not rows or fault == "parent-first":
+        parent = aid(10_000 + pick) if fault == "parent-first" else None
+        return (fresh, parent, ts(step), ty("evt"), b"")
+    parent, _, parent_ts, _, _ = rows[pick % len(rows)]
+    node, micros = fresh, parent_ts.micros + step
+    if fault == "unknown-parent":
+        parent = aid(20_000 + pick)
+    elif fault == "reused-id":
+        node = rows[(pick * 7) % len(rows)][0]
+    elif fault == "equal-time":
+        micros = parent_ts.micros
+    elif fault == "earlier-time":
+        micros = parent_ts.micros - step
+    elif fault == "second-root":
+        parent = None
+    return (node, parent, ts(micros), ty("evt" if step % 2 else "alt"), bytes([pick % 7]))
+
+
+def _reference_accepts(rows):
+    """Whether `rows` form a valid CTEG rooted at the first row, by whole-graph validation."""
+    try:
+        graph = graph_from_rows(rows)
+    except ValueError:
+        return False
+    return validate_cteg(graph, rows[0][0]).ok
+
+
+def _rows_of(script, start=0):
+    """The rows a script yields, each built against the rows before it."""
+    rows = []
+    for i, (fault, pick, step) in enumerate(script):
+        rows.append(_row(rows, fault, pick, step, aid(start + i)))
+    return rows
+
+
+def _valid_table(script, start):
+    """A table holding the accepted rows of a fault-free script (never empty)."""
+    table = NodeTable()
+    for row in _rows_of([(None, 0, 1)] + [(None, pick, step) for _, pick, step in script], start):
+        table.append([row])
+    return table
+
+
+@given(script=_scripts)
+def test_a_row_is_accepted_exactly_when_the_reference_accepts_it(script):
+    table = NodeTable()
+    for i, (fault, pick, step) in enumerate(script):
+        row = _row(table.rows, fault, pick, step, aid(i))
+        before = (list(table.rows), dict(table.t))
+        expected = _reference_accepts(table.rows + [row])
+        try:
+            table.append([row])
+        except StoreError:
+            assert not expected, row
+            assert (table.rows, table.t) == before
+        else:
+            assert expected, row
+            assert table.t == {r[0]: r[2] for r in table.rows}
+
+
+@given(script=_scripts, batch=_scripts)
+@example(script=[], batch=[(None, 0, 1), (None, 0, 2), (None, 1, 1)])  # parents earlier in the batch
+@example(script=[], batch=[(None, 0, 1), (None, 0, 1), ("reused-id", 0, 1)])  # an id reused in the batch
+@example(script=[], batch=[(None, 0, 1), ("second-root", 0, 1)])  # two roots in one batch
+def test_a_batch_is_admitted_whole_or_not_at_all(script, batch):
+    table = NodeTable()
+    for row in _rows_of(script):
+        try:
+            table.append([row])
+        except StoreError:
+            pass
+    rows = list(table.rows)
+    for fault, pick, step in batch:
+        rows.append(_row(rows, fault, pick, step, aid(1000 + len(rows))))
+    added = rows[len(table.rows) :]
+    expected = all(_reference_accepts(rows[:k]) for k in range(len(table.rows) + 1, len(rows) + 1))
+    before = (list(table.rows), dict(table.t))
+    try:
+        new = table.check(added)
+    except StoreError:
+        assert not expected
+        assert (table.rows, table.t) == before
+        return
+    assert expected
+    assert new == {r[0]: r[2] for r in added}
+    table.admit(added, new)
+    assert table.rows == rows
+
+
+@given(
+    host=_scripts,
+    child=_scripts,
+    child_start=st.sampled_from([0, 3, 500]),
+    attach=st.integers(0, 99),
+    unknown_attach=st.booleans(),
+    child_offset=st.integers(-8, 8),
+)
+def test_a_graft_matches_graft_cteg(host, child, child_start, attach, unknown_attach, child_offset):
+    parent_table = _valid_table(host, 0)
+    child_table = _valid_table(child, child_start)
+    # Shift the child in time so the new edge is sometimes not strictly increasing.
+    child_table.rows = [(n, p, ts(t.micros + child_offset), ty_, pl) for n, p, t, ty_, pl in child_table.rows]
+    child_table.t = {r[0]: r[2] for r in child_table.rows}
+    p = aid(9_999) if unknown_attach else parent_table.rows[attach % len(parent_table.rows)][0]
+    c1, c2 = parent_table.to_cteg(), child_table.to_cteg()
+    try:
+        reference = graft_cteg(c1, p, c2)
+    except CtegError as exc:
+        reference = exc
+    before = (list(parent_table.rows), dict(parent_table.t))
+    try:
+        parent_table.graft(p, child_table)
+    except StoreError as exc:
+        assert isinstance(reference, CtegError), exc
+        kinds = (UnknownNodeError, DisjointnessError, CompatibilityError)
+        assert [isinstance(exc, k) for k in kinds] == [isinstance(reference, k) for k in kinds]
+        assert (parent_table.rows, parent_table.t) == before
+        return
+    assert isinstance(reference, Cteg), reference
+    assert parent_table.to_cteg() == reference
+
+
+_bad_records = st.tuples(
+    st.sampled_from((None,) * 4 + FAULTS + ("unknown-session", "payload-cap")), st.integers(0, 99), st.integers(1, 5)
+)
+
+
+@given(script=st.lists(_bad_records, max_size=20))
+def test_memory_and_file_stores_raise_the_same_errors(script):
+    session = SessionId.from_int(1)
+    memory = MemoryStore(payload_cap=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.cteg"
+        with FileStore(path, payload_cap=4) as file_store:
+            for store in (memory, file_store):
+                store.register_session(session)
+            rows = []
+            for i, (fault, pick, step) in enumerate(script):
+                row = _row(rows, fault if fault in FAULTS else None, pick, step, aid(i))
+                node, parent, stamp, kind, payload = row
+                record = NodeRecord(
+                    node,
+                    SessionId.from_int(2) if fault == "unknown-session" else session,
+                    parent,
+                    stamp,
+                    kind,
+                    b"12345" if fault == "payload-cap" else payload,
+                )
+                outcomes = []
+                for store in (memory, file_store):
+                    try:
+                        store.append_node(record)
+                        outcomes.append(None)
+                    except StoreError as exc:
+                        outcomes.append(type(exc))
+                assert outcomes[0] == outcomes[1], (fault, outcomes)
+                if outcomes[0] is None:
+                    rows.append(row)
+        with FileStore(path) as reopened:
+            assert reopened.session_ids() == memory.session_ids()
+            if rows:
+                assert reopened.load_session(session) == memory.load_session(session)

@@ -11,6 +11,8 @@ Covered claims:
       that fails, wholly or part-way, leaves nothing admitted or stored
     - the file store appends through one handle, and once closed it
       refuses appends but still answers reads
+    - every store error is a StoreError importable from the persistence
+      module, and the row errors are also the session's error classes
     - the trace text format is canonical: export is deterministic, import
       inverts it bit-exactly, and malformed text is reported line by line
 """
@@ -20,13 +22,16 @@ import random
 import pytest
 
 from cteg import (
+    CompatibilityError,
     Cteg,
+    DisjointnessError,
     FileStore,
     MemoryStore,
     NodeRecord,
     SessionId,
     TraceFormatError,
     TypedTemporalGraph,
+    UnknownNodeError,
     ValidationFailedError,
     append_trace,
     export_trace,
@@ -43,6 +48,7 @@ from cteg.persistence import (
     DuplicateSessionError,
     EmptySessionError,
     PayloadTooLargeError,
+    StoreError,
     TimestampOrderError,
     UnknownParentError,
     UnknownSessionError,
@@ -54,8 +60,10 @@ from util import aid, cteg, hexid, random_cteg, record_boundaries, ts, ty
 @pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
-        return MemoryStore()
-    return FileStore(tmp_path / "log.cteg")
+        yield MemoryStore()
+    else:
+        with FileStore(tmp_path / "log.cteg") as file_store:
+            yield file_store
 
 
 def sid(i: int) -> SessionId:
@@ -132,6 +140,19 @@ class TestAppend:
             small.append_node(record(sid(1), 10, None, 0, payload=b"12345"))
 
 
+class TestErrorClasses:
+    def test_every_store_error_is_a_store_error(self):
+        names = [name for name in persistence.__all__ if name.endswith("Error") and name != "TraceFormatError"]
+        assert len(names) == 10
+        for name in names:
+            assert issubclass(getattr(persistence, name), StoreError), name
+
+    def test_row_errors_are_also_the_session_error_classes(self):
+        assert issubclass(UnknownParentError, UnknownNodeError)
+        assert issubclass(DuplicateNodeError, DisjointnessError)
+        assert issubclass(TimestampOrderError, CompatibilityError)
+
+
 class TestLoad:
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_of_a_random_trace(self, store, seed):
@@ -186,13 +207,13 @@ class TestLoad:
 class TestFileStore:
     def test_reopen_restores_state(self, tmp_path):
         path = tmp_path / "log.cteg"
-        first = FileStore(path)
-        session = first.register_session(sid(1))
-        c = random_cteg(random.Random(1), 10)
-        append_trace(first, session, c)
-        reopened = FileStore(path)
-        assert reopened.session_ids() == (session,)
-        assert reopened.load_session(session) == c
+        with FileStore(path) as first:
+            session = first.register_session(sid(1))
+            c = random_cteg(random.Random(1), 10)
+            append_trace(first, session, c)
+        with FileStore(path) as reopened:
+            assert reopened.session_ids() == (session,)
+            assert reopened.load_session(session) == c
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "log.cteg"
@@ -202,10 +223,10 @@ class TestFileStore:
 
     def test_hand_edited_timestamp_is_corruption(self, tmp_path):
         path = tmp_path / "log.cteg"
-        store = FileStore(path)
-        store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 5))
-        store.append_node(record(sid(1), 11, 10, 6))
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 5))
+            store.append_node(record(sid(1), 11, 10, 6))
         data = bytearray(path.read_bytes())
         # independent walk to the last record, then patch its i64 timestamp
         # field (offset: 4 len + 1 kind + 16 node + 16 session + 1 flag + 16 parent)
@@ -219,81 +240,82 @@ class TestFileStore:
 
     def test_torn_trailing_record_is_ignored(self, tmp_path):
         path = tmp_path / "log.cteg"
-        store = FileStore(path)
-        store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 0))
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 0))
         data = path.read_bytes()
         path.write_bytes(data + b"\x99\x00\x00\x00partial")
-        reopened = FileStore(path)
-        assert reopened.load_session(sid(1)).graph.nodes == {aid(10)}
+        with FileStore(path) as reopened:
+            assert reopened.load_session(sid(1)).graph.nodes == {aid(10)}
 
     def test_store_stays_appendable_after_a_cut_at_any_byte(self, tmp_path):
         path = tmp_path / "log.cteg"
-        store = FileStore(path)
-        store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 0, payload=b"root"))
-        store.append_node(record(sid(1), 11, 10, 1, payload=b"child"))
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 0, payload=b"root"))
+            store.append_node(record(sid(1), 11, 10, 1, payload=b"child"))
         data = path.read_bytes()
         boundaries = record_boundaries(data, len(_MAGIC))
-        for cut in range(len(_MAGIC), len(data)):
+        for cut in range(0, len(data)):  # from inside the header on
             path.write_bytes(data[:cut])
             complete = sum(1 for b in boundaries if b <= cut) - 1  # records wholly before the cut
-            reopened = FileStore(path)
-            reopened.register_session(sid(2))
-            reopened.append_node(record(sid(2), 20, None, 5))
-            reopened.append_node(record(sid(2), 21, 20, 6))
-            again = FileStore(path)
-            expected = [sid(1)] if complete >= 1 else []
-            assert again.session_ids() == (*expected, sid(2)), f"cut at byte {cut}"
-            if complete >= 2:
-                kept = {aid(10), aid(11)} if complete == 3 else {aid(10)}
-                assert again.load_session(sid(1)).graph.nodes == kept, f"cut at byte {cut}"
-            assert again.load_session(sid(2)).graph.nodes == {aid(20), aid(21)}, f"cut at byte {cut}"
+            with FileStore(path) as reopened:
+                reopened.register_session(sid(2))
+                reopened.append_node(record(sid(2), 20, None, 5))
+                reopened.append_node(record(sid(2), 21, 20, 6))
+            with FileStore(path) as again:
+                expected = [sid(1)] if complete >= 1 else []
+                assert again.session_ids() == (*expected, sid(2)), f"cut at byte {cut}"
+                if complete >= 2:
+                    kept = {aid(10), aid(11)} if complete == 3 else {aid(10)}
+                    assert again.load_session(sid(1)).graph.nodes == kept, f"cut at byte {cut}"
+                assert again.load_session(sid(2)).graph.nodes == {aid(20), aid(21)}, f"cut at byte {cut}"
 
     def test_failed_write_admits_nothing(self, tmp_path):
         path = tmp_path / "log.cteg"
-        store = FileStore(path)
-        store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 0))
-        data = path.read_bytes()
-        path.unlink()
-        path.mkdir()  # every later open of the log for writing now raises an OSError
-        with pytest.raises(OSError):
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 0))
+            data = path.read_bytes()
+            path.unlink()
+            path.mkdir()  # every later open of the log for writing now raises an OSError
+            with pytest.raises(OSError):
+                store.register_session(sid(2))
+            with pytest.raises(OSError):
+                store.append_node(record(sid(1), 11, 10, 1))
+            assert store.session_ids() == (sid(1),)
+            assert store.load_session(sid(1)).graph.nodes == {aid(10)}
+            path.rmdir()
+            path.write_bytes(data)
             store.register_session(sid(2))
-        with pytest.raises(OSError):
             store.append_node(record(sid(1), 11, 10, 1))
-        assert store.session_ids() == (sid(1),)
-        assert store.load_session(sid(1)).graph.nodes == {aid(10)}
-        path.rmdir()
-        path.write_bytes(data)
-        store.register_session(sid(2))
-        store.append_node(record(sid(1), 11, 10, 1))
-        reopened = FileStore(path)
-        assert reopened.session_ids() == (sid(1), sid(2))
-        assert reopened.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
+        with FileStore(path) as reopened:
+            assert reopened.session_ids() == (sid(1), sid(2))
+            assert reopened.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
 
     def test_partial_write_is_rolled_back(self, tmp_path):
         resource = pytest.importorskip("resource")
         import signal
 
         path = tmp_path / "log.cteg"
-        store = FileStore(path)
-        store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 0))
-        size = path.stat().st_size
-        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
-        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-        try:
-            # the file may grow by 20 bytes: the next record gets cut part-way
-            resource.setrlimit(resource.RLIMIT_FSIZE, (size + 20, limits[1]))
-            with pytest.raises(OSError):
-                store.append_node(record(sid(1), 11, 10, 1, payload=b"x" * 100))
-        finally:
-            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
-            signal.signal(signal.SIGXFSZ, handler)
-        assert path.stat().st_size == size
-        store.append_node(record(sid(1), 12, 10, 2))
-        assert FileStore(path).load_session(sid(1)).graph.nodes == {aid(10), aid(12)}
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 0))
+            size = path.stat().st_size
+            limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+            handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            try:
+                # the file may grow by 20 bytes: the next record gets cut part-way
+                resource.setrlimit(resource.RLIMIT_FSIZE, (size + 20, limits[1]))
+                with pytest.raises(OSError):
+                    store.append_node(record(sid(1), 11, 10, 1, payload=b"x" * 100))
+            finally:
+                resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+                signal.signal(signal.SIGXFSZ, handler)
+            assert path.stat().st_size == size
+            store.append_node(record(sid(1), 12, 10, 2))
+        with FileStore(path) as reopened:
+            assert reopened.load_session(sid(1)).graph.nodes == {aid(10), aid(12)}
 
     def test_appends_reuse_one_handle(self, tmp_path, monkeypatch):
         path = tmp_path / "log.cteg"
@@ -326,22 +348,22 @@ class TestFileStore:
 
     def test_every_record_boundary_prefix_reconstructs(self, tmp_path):
         path = tmp_path / "log.cteg"
-        store = FileStore(path)
-        rng = random.Random(9)
-        sessions = [store.register_session() for _ in range(2)]
-        for session in sessions:
-            append_trace(store, session, random_cteg(rng, 8))
+        with FileStore(path) as store:
+            rng = random.Random(9)
+            sessions = [store.register_session() for _ in range(2)]
+            for session in sessions:
+                append_trace(store, session, random_cteg(rng, 8))
         data = path.read_bytes()
         for i, boundary in enumerate(record_boundaries(data, len(_MAGIC))):
             trimmed = tmp_path / f"prefix{i}.cteg"
             trimmed.write_bytes(data[:boundary])
-            partial = FileStore(trimmed)
-            for session in partial.session_ids():
-                try:
-                    snap = partial.load_session(session)
-                except EmptySessionError:
-                    continue
-                assert validate_cteg(snap.graph, snap.root).ok
+            with FileStore(trimmed) as partial:
+                for session in partial.session_ids():
+                    try:
+                        snap = partial.load_session(session)
+                    except EmptySessionError:
+                        continue
+                    assert validate_cteg(snap.graph, snap.root).ok
 
 
 class TestExportImport:

@@ -12,6 +12,8 @@ Covered claims:
       the recursive closure
     - the row-built history and snapshot match the reference step
       functions replayed from the history's own labels
+    - rejected emits and grafts raise today's error classes and leave the
+      trace and its history unchanged
 """
 
 import random
@@ -22,7 +24,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cteg import (
+    CompatibilityError,
     ConsumedHandleError,
+    DisjointnessError,
     Emission,
     EmptyEmissionError,
     FailurePolicy,
@@ -30,6 +34,7 @@ from cteg import (
     Invocation,
     SessionMismatchError,
     SessionStatus,
+    SubagentHandle,
     Timestamp,
     UnknownNodeError,
     apply_emission,
@@ -356,3 +361,43 @@ class TestRowsAgainstReference:
         assert _replay(history) == history.graphs
         assert s.snapshot().graph == history.final
         assert is_member_e_infinity(history).ok
+
+
+def scripted_ids(*ints):
+    """An id factory that hands out the given small ints in turn, repeats included."""
+    draws = iter(ints)
+    return lambda: next(draws).to_bytes(16, "big")
+
+
+class TestRejectedSteps:
+    def test_emit_with_a_repeated_id_admits_nothing(self):
+        s = begin_session(ty("task"), wall_clock=frozen_clock(), id_factory=scripted_ids(1, 2, 3, 3))
+        before, history = s.snapshot(), s.history()
+        with pytest.raises(DisjointnessError):
+            s.emit(s.root, [(ty("a"), b""), (ty("b"), b"")])
+        assert s.snapshot() == before
+        assert s.history() == history
+
+    def test_graft_of_a_child_sharing_an_id_changes_nothing(self):
+        # session 1 with root 2 emits node 3; child session 4 with root 5 emits node 3 again
+        s = begin_session(ty("task"), wall_clock=frozen_clock(), id_factory=scripted_ids(1, 2, 3, 4, 5, 3))
+        s.emit(s.root, [(ty("a"), b"")])
+        handle, child = s.invoke_subagent(s.root, ty("sub"))
+        child.emit(child.root, [(ty("b"), b"")])
+        before, history = s.snapshot(), s.history()
+        with pytest.raises(DisjointnessError):
+            s.complete_subagent(handle, child)
+        assert s.snapshot() == before
+        assert s.history() == history
+        assert not handle.consumed and child.status is SessionStatus.ACTIVE
+
+    def test_handle_on_a_node_later_than_the_child_root_is_incompatible(self):
+        s = quiet_session()
+        (first,) = s.emit(s.root, [(ty("a"), b"")])
+        (later,) = s.emit(first, [(ty("a"), b"")])
+        _, child = s.invoke_subagent(s.root, ty("sub"))
+        assert s.snapshot().graph.t[later] >= child.snapshot().graph.t[child.root]
+        before = s.snapshot()
+        with pytest.raises(CompatibilityError):
+            s.complete_subagent(SubagentHandle(s.id, later, child.id), child)
+        assert s.snapshot() == before
