@@ -14,12 +14,17 @@ Covered claims:
     - within finite bounds, the hierarchy ascends, is strict at depth one,
       stabilises at depth one, and its stable set is the least fixed point,
       matching an independently written closure enumeration
+    - the oracle's levels and step labels at the CLI defaults and at a
+      two-type bound are pinned by sha256 goldens, and `phi` agrees with the
+      reference implementation in `util` on results, labels and the exact
+      budget at which it gives up
 """
 
+import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cteg import (
@@ -48,8 +53,10 @@ from cteg import (
     replicate_as_e0_invocation,
     validate_cteg,
 )
+from cteg.cli import _oracle_bounds
 from util import (
     aid,
+    budget_spent,
     chains_of,
     cteg,
     ctegs,
@@ -57,18 +64,21 @@ from util import (
     graph,
     hexid,
     junk_sequence,
+    label_listing,
     random_cteg,
+    reference_phi,
     ts,
     ty,
 )
 
 
-def bounds_of(n_actions, n_stamps, max_len, n_types=1):
+def bounds_of(n_actions, n_stamps, max_len, n_types=1, max_step_emit=None):
     return UniverseBounds(
         actions=tuple(aid(i + 1) for i in range(n_actions)),
         timestamps=tuple(ts(i) for i in range(n_stamps)),
         types=frozenset(ty(f"t{i}") for i in range(n_types)),
         max_len=max_len,
+        max_step_emit=max_step_emit,
     )
 
 
@@ -565,3 +575,105 @@ class TestOpacity:
         anchors = [n for n in sorted(host.graph.nodes) if host.graph.t[n] < ts(50)]
         p = rng.choice(anchors)
         assert apply_invocation(host.graph, p, via_e0) == apply_invocation(host.graph, p, direct)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of E0, E1, E2 and phi(E2): (canonical_listing, label_listing).
+ORACLE_GOLDENS = {
+    "cli-defaults": (
+        _oracle_bounds(4, 4, 3),
+        [
+            ("9f34c420713adb601ae6c46a974481e4a87d0a764cf959a8c0dfb19b5b7cb5bf",
+             "7085a86f0fc1f92963a74de7ab1d6aa9c811216fd6e7c35694502aa64fea5693"),
+        ] + 3 * [
+            ("1f3c8e95845900beddae8bae0c055144edfcaada729137061713ee3f887e03af",
+             "89a7a2ef8c2cbd1a9351856f8327ed98220af2ab1034a70e04e4959f41b26fad"),
+        ],
+    ),
+    "two-types": (
+        bounds_of(3, 4, 3, n_types=2),
+        [
+            ("845540a10acc8accc18d4af76544ae0f592b4328073ce9a99e8bf56b0e20d83d",
+             "eed033db96c933158f08202b9f02342197a15e020d3ef2a2291b72078a909301"),
+        ] + 3 * [
+            ("1dba5d509d1fdad5681de48acccbd1d7661a1557a687769f1ab71aa45a3a485f",
+             "14ba5b429aca06b6dc7c5dd700fc09f1f643e59ef54a911d6d2536ff7b3c8ea8"),
+        ],
+    ),
+}
+
+
+class TestOracleGoldens:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GOLDENS))
+    def test_levels_and_labels_match_goldens(self, name):
+        b, expected = ORACLE_GOLDENS[name]
+        pool: frozenset = frozenset()
+        digests = []
+        for _ in range(4):
+            pool = phi(pool, b)
+            digests.append((sha256(canonical_listing(pool)), sha256(label_listing(pool))))
+        assert digests == expected
+
+
+def loose_final(b: UniverseBounds, rng: random.Random) -> ExecutionSequence:
+    """An in-bounds edgeless final on two or three ids: every node is an attach candidate."""
+    ids = rng.sample(b.actions, min(len(b.actions), rng.randint(2, 3)))
+    types = sorted(b.types)
+    g = TypedTemporalGraph(
+        nodes=frozenset(ids),
+        edges=frozenset(),
+        t={n: rng.choice(b.timestamps) for n in ids},
+        tau={n: rng.choice(types) for n in ids},
+        type_set=b.types,
+        payloads={n: rng.choice((b"", b"p")) for n in ids},
+    )
+    return ExecutionSequence((g,), ())
+
+
+def out_of_bounds_final(b: UniverseBounds, rng: random.Random) -> ExecutionSequence:
+    """A one-node final whose timestamp or type no bounded sequence can use."""
+    a = rng.choice(b.actions)
+    if rng.random() < 0.5:
+        return ExecutionSequence((TypedTemporalGraph.trivial(a, ts(10**6), sorted(b.types)[0]),), ())
+    return ExecutionSequence((TypedTemporalGraph.trivial(a, b.timestamps[0], ty("exotic")),), ())
+
+
+class TestPhiMatchesReference:
+    """The fast `phi` against the verbatim reference in `util.reference_phi`."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_actions=st.integers(2, 4),
+        n_stamps=st.integers(2, 4),
+        n_types=st.integers(1, 2),
+        max_len=st.integers(2, 3),
+        max_step_emit=st.one_of(st.none(), st.integers(1, 2)),
+        depth=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_results_labels_and_budget_match(
+        self, n_actions, n_stamps, n_types, max_len, max_step_emit, depth, seed
+    ):
+        rng = random.Random(seed)
+        b = bounds_of(n_actions, n_stamps, max_len, n_types=n_types, max_step_emit=max_step_emit)
+        lower: frozenset = frozenset()
+        for _ in range(depth):
+            lower = phi(lower, b)
+        extra = [junk_sequence(b.actions, b.timestamps, tuple(sorted(b.types)))]
+        extra += [loose_final(b, rng) for _ in range(rng.randint(0, 3))]
+        extra += [out_of_bounds_final(b, rng) for _ in range(rng.randint(0, 2))]
+        pool = lower | frozenset(extra)
+
+        fast_spent, fast = budget_spent(lambda: phi(pool, b))
+        ref_spent, ref = budget_spent(lambda: reference_phi(pool, b))
+        assert fast == ref
+        assert label_listing(fast) == label_listing(ref)
+        # Both give up exactly above the same total: one unit less raises.
+        assert fast_spent == ref_spent
+        assert phi(pool, b, budget=fast_spent) == fast
+        if fast_spent:
+            with pytest.raises(BudgetExceededError):
+                phi(pool, b, budget=fast_spent - 1)

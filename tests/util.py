@@ -10,18 +10,32 @@ from __future__ import annotations
 
 import random
 import struct
-from itertools import product
+from itertools import combinations, permutations, product
+from typing import AbstractSet, Iterable
+from unittest import mock
 
 from hypothesis import strategies as st
 
 from cteg import (
     ActionId,
     Cteg,
+    Emission,
     EventType,
     ExecutionSequence,
     Timestamp,
     TypedTemporalGraph,
+    UniverseBounds,
 )
+from cteg.dynamics import (
+    _Budget,
+    _emission_successors,
+    _invocation_successors,
+    _rename_chain,
+    _rename_graph,
+    _seq_sort_key,
+    _trivial_graphs,
+)
+from cteg.persistence import graph_text
 
 
 def aid(i: int) -> ActionId:
@@ -286,6 +300,132 @@ def junk_sequence(ids: tuple, stamps: tuple, types: tuple) -> ExecutionSequence:
         type_set=frozenset(types),
     )
     return ExecutionSequence((g,), ())
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: `phi` as it was before graft candidates were deduplicated
+# by isomorphism class. It renames every distinct final of the pool under
+# every injective map and re-checks every pair of each new sequence, so it
+# is the slow ground truth for the fast path's results, labels and budget.
+
+
+def reference_graft_candidates(
+    pool: Iterable[ExecutionSequence],
+    bounds: UniverseBounds,
+    budget: _Budget,
+) -> dict[frozenset[ActionId], list[tuple[TypedTemporalGraph, ActionId, ExecutionSequence]]]:
+    ts_pool = set(bounds.timestamps)
+    finals: dict[TypedTemporalGraph, ExecutionSequence] = {}
+    for seq in sorted(pool, key=_seq_sort_key):
+        f = seq.final
+        if f not in finals:
+            finals[f] = seq
+    out: dict[frozenset[ActionId], list[tuple[TypedTemporalGraph, ActionId, ExecutionSequence]]] = {}
+    seen: set[tuple[TypedTemporalGraph, ActionId]] = set()
+    for f, rep in finals.items():
+        k = len(f.nodes)
+        if k > len(bounds.actions) - 1:
+            continue  # no room left for a host node
+        if not set(f.t.values()) <= ts_pool or not set(f.tau.values()) <= bounds.types:
+            continue
+        src = sorted(f.nodes)
+        zero_in = [n for n in src if f.in_degree(n) == 0]
+        if not zero_in:
+            continue
+        for ids in combinations(bounds.actions, k):
+            for perm in permutations(ids):
+                budget.spend()
+                mapping = dict(zip(src, perm))
+                f2 = _rename_graph(f, mapping)
+                rep2: ExecutionSequence | None = None
+                for q in zero_in:
+                    key = (f2, mapping[q])
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if rep2 is None:
+                        rep2 = _rename_chain(rep, mapping)
+                    out.setdefault(f2.nodes, []).append((f2, mapping[q], rep2))
+    return out
+
+
+def reference_phi(
+    pool: AbstractSet[ExecutionSequence] | Iterable[ExecutionSequence],
+    bounds: UniverseBounds,
+    *,
+    budget: int | None = None,
+) -> frozenset[ExecutionSequence]:
+    tracker = _Budget(budget)
+    candidates = reference_graft_candidates(pool, bounds, tracker)
+
+    result: set[ExecutionSequence] = set()
+    frontier: list[ExecutionSequence] = []
+    for g0 in _trivial_graphs(bounds):
+        s = ExecutionSequence((g0,), ())
+        result.add(s)
+        frontier.append(s)
+
+    succ_cache: dict[TypedTemporalGraph, list] = {}
+    for _ in range(bounds.max_len - 1):
+        nxt: list[ExecutionSequence] = []
+        for s in frontier:
+            g = s.final
+            succ = succ_cache.get(g)
+            if succ is None:
+                succ = _emission_successors(g, bounds, tracker)
+                succ.extend(_invocation_successors(g, candidates, tracker))
+                succ_cache[g] = succ
+            assert s.steps is not None
+            for label, g2 in succ:
+                tracker.spend()
+                s2 = ExecutionSequence(s.graphs + (g2,), s.steps + (label,))
+                if s2 not in result:
+                    result.add(s2)
+                    nxt.append(s2)
+        if not nxt:
+            break
+        frontier = nxt
+    return frozenset(result)
+
+
+def chain_text(seq: ExecutionSequence) -> str:
+    return " -> ".join(graph_text(g) for g in seq.graphs)
+
+
+def label_text(label) -> str:
+    """A step label as text: kind, root, then the emitted set or the attach
+    node and the listing of the subtrace it carries."""
+    if isinstance(label, Emission):
+        return f"E {label.root.hex} {','.join(sorted(n.hex for n in label.emitted))}"
+    return f"I {label.root.hex} {label.attach.hex} [{chain_text(label.subtrace)}]"
+
+
+def label_listing(seqs: Iterable[ExecutionSequence]) -> str:
+    """One sorted line per sequence: its chain, then the text of each label."""
+    lines = sorted(
+        chain_text(s) + " | " + " ; ".join(label_text(x) for x in (s.steps or ()))
+        for s in seqs
+    )
+    return "".join(line + "\n" for line in lines)
+
+
+def budget_spent(run):
+    """Run `run()` with no budget and return (units it spent, its result).
+
+    `_Budget` raises exactly when the total spent exceeds the limit, so the
+    count is the smallest budget under which `run` completes.
+    """
+    spent = 0
+    spend = _Budget.spend
+
+    def counting_spend(self, n: int = 1) -> None:
+        nonlocal spent
+        spent += n
+        spend(self, n)
+
+    with mock.patch.object(_Budget, "spend", counting_spend):
+        result = run()
+    return spent, result
 
 
 # ---------------------------------------------------------------------------
