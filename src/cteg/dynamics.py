@@ -24,6 +24,7 @@ On top of the step semantics this module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
@@ -150,6 +151,21 @@ class ExecutionSequence:
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_hash", None)
+
+    def _extend(self, g2: TypedTemporalGraph, label: StepLabel) -> "ExecutionSequence":
+        """This labelled sequence followed by `g2`, checking only the new pair.
+
+        Every earlier pair was checked when this sequence was built, and the
+        sequence is immutable, so only `final` against `g2` is left to prove.
+        """
+        if not self.final.is_subgraph_of(g2):
+            raise ValueError("each graph must extend the previous one")
+        assert self.steps is not None
+        s2 = object.__new__(ExecutionSequence)
+        object.__setattr__(s2, "graphs", self.graphs + (g2,))
+        object.__setattr__(s2, "steps", self.steps + (label,))
+        object.__setattr__(s2, "_hash", None)
+        return s2
 
     @property
     def final(self) -> TypedTemporalGraph:
@@ -495,6 +511,24 @@ def _rename_chain(seq: ExecutionSequence, m: Mapping[ActionId, ActionId]) -> Exe
     return ExecutionSequence(tuple(_rename_graph(g, m) for g in seq.graphs), None)
 
 
+def _shape(f: TypedTemporalGraph, src: list[ActionId]) -> tuple:
+    """Canonical form of `f` up to renaming its nodes.
+
+    The least, over every ordering of `src` (the nodes of `f`), of the edges
+    and the `(micros, type name, payload)` column under that ordering,
+    together with the type set. Two graphs share a shape exactly when some
+    bijection of their nodes carries one onto the other.
+    """
+    cols = {n: (f.t[n].micros, f.tau[n].name, f.payloads[n]) for n in src}
+    best = None
+    for order in permutations(src):
+        pos = {n: i for i, n in enumerate(order)}
+        form = (tuple(sorted((pos[a], pos[b]) for a, b in f.edges)), tuple(cols[n] for n in order))
+        if best is None or form < best:
+            best = form
+    return best, tuple(sorted(ty.name for ty in f.type_set))
+
+
 def _trivial_graphs(bounds: UniverseBounds) -> list[TypedTemporalGraph]:
     return [
         TypedTemporalGraph.trivial(a, ts, ty, type_set=bounds.types)
@@ -516,6 +550,13 @@ def _graft_candidates(
     structure and is how disjointness is achieved inside a finite pool).
     Finals whose timestamps or types fall outside the bounds can never occur
     inside a bounded sequence and are skipped.
+
+    Finals are visited in sorted order and renamed once per isomorphism
+    class: every renaming of a later member of a class equals one of the
+    first member's, so it could only add `(graph, attach)` pairs already
+    present. Skipping it leaves the result, its order and the representative
+    subtraces unchanged. The budget still counts every renaming, so a
+    skipped final spends the renamings it would have made.
     """
     ts_pool = set(bounds.timestamps)
     finals: dict[TypedTemporalGraph, ExecutionSequence] = {}
@@ -525,6 +566,7 @@ def _graft_candidates(
             finals[f] = seq
     out: dict[frozenset[ActionId], list[tuple[TypedTemporalGraph, ActionId, ExecutionSequence]]] = {}
     seen: set[tuple[TypedTemporalGraph, ActionId]] = set()
+    shapes: set[tuple] = set()
     for f, rep in finals.items():
         k = len(f.nodes)
         if k > len(bounds.actions) - 1:
@@ -535,6 +577,11 @@ def _graft_candidates(
         zero_in = [n for n in src if f.in_degree(n) == 0]
         if not zero_in:
             continue
+        shape = _shape(f, src)
+        if shape in shapes:
+            budget.spend(math.perm(len(bounds.actions), k))
+            continue
+        shapes.add(shape)
         for ids in combinations(bounds.actions, k):
             for perm in permutations(ids):
                 budget.spend()
@@ -610,8 +657,12 @@ def phi(
     iterating yields the depth hierarchy.
 
     The operator is monotone in `pool` by construction: a larger pool only
-    adds graft candidates. `budget`, when given, caps the number of explored
-    extensions and raises BudgetExceededError once exhausted.
+    adds graft candidates. Pool finals are renamed into the action pool once
+    per isomorphism class, since isomorphic finals yield the same renamed
+    candidates. `budget`, when given, caps the number of explored extensions
+    and raises BudgetExceededError once exhausted; it counts every renaming
+    of every usable pool final, those of skipped isomorphic finals included,
+    so it is exhausted at exactly the same point as without the skipping.
     """
     tracker = _Budget(budget)
     candidates = _graft_candidates(pool, bounds, tracker)
@@ -633,10 +684,9 @@ def phi(
                 succ = _emission_successors(g, bounds, tracker)
                 succ.extend(_invocation_successors(g, candidates, tracker))
                 succ_cache[g] = succ
-            assert s.steps is not None
             for label, g2 in succ:
                 tracker.spend()
-                s2 = ExecutionSequence(s.graphs + (g2,), s.steps + (label,))
+                s2 = s._extend(g2, label)
                 if s2 not in result:
                     result.add(s2)
                     nxt.append(s2)

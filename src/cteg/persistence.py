@@ -149,7 +149,7 @@ class MemoryStore:
         self._write(rec)
         self._admit(rec, checked)
 
-    def _validate(self, rec: SessionId | NodeRecord) -> _Checked | None:
+    def _validate(self, rec: SessionId | NodeRecord, *, capped: bool = True) -> _Checked | None:
         if isinstance(rec, SessionId):
             if rec in self._tables:
                 raise DuplicateSessionError(f"session {rec.hex} is already registered")
@@ -157,7 +157,7 @@ class MemoryStore:
         table = self._tables.get(rec.session_id)
         if table is None:
             raise UnknownSessionError(f"session {rec.session_id.hex} is not registered")
-        if len(rec.payload) > self._payload_cap:
+        if capped and len(rec.payload) > self._payload_cap:
             raise PayloadTooLargeError(f"payload of {len(rec.payload)} bytes exceeds cap of {self._payload_cap}")
         rows = ((rec.node_id, rec.parent_id, rec.timestamp, rec.event_type, rec.payload),)
         return table, rows, table.check(rows)
@@ -280,13 +280,15 @@ class FileStore(MemoryStore):
 
     Opening an existing file replays and re-validates every complete record;
     semantic violations (which cannot be produced through this interface)
-    therefore surface as corruption, and a torn tail is cut off. A missing
-    file, or one cut short inside its header, starts a new log. The store
-    then keeps one unbuffered append handle until `close` (or the end of a
-    `with` block). Each record is written before the store admits it; a
-    failed or short write is rolled back. An append never goes to a log
-    that is no longer linked (removed, or replaced by a rename over it): it
-    reopens the path, and fails while no file is there.
+    therefore surface as corruption, and a torn tail is cut off. The payload
+    cap governs new appends only: replay admits every payload already in the
+    log, whatever cap it was written under. A missing file, or one cut short
+    inside its header, starts a new log. The store then keeps one unbuffered
+    append handle until `close` (or the end of a `with` block). Each record
+    is written before the store admits it; a failed or short write is rolled
+    back. An append never goes to a log that is no longer linked (removed,
+    or replaced by a rename over it): it reopens the path, and fails while
+    no file is there.
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -306,7 +308,7 @@ class FileStore(MemoryStore):
         end = len(_MAGIC)
         try:
             for record, end in _iter_complete_records(data, end):
-                self._admit(record, self._validate(record))
+                self._admit(record, self._validate(record, capped=False))
         except StoreError as exc:
             raise CorruptStoreError(f"replay failed: {exc}") from exc
         if end < len(data):

@@ -204,17 +204,24 @@ class Session:
 
         Timestamps are issued by the session clock and strictly exceed the
         parent node's time. Returns the new node ids in argument order.
+        A rejected batch admits nothing and leaves the clock where it was;
+        ids it already drew from `id_factory` stay consumed.
         """
         with self._lock:
             self._require_active()
             floor = self._table.time_of(parent)
             if not events:
                 raise EmptyEmissionError("emit requires at least one event")
-            rows: list[Row] = [
-                (ActionId.fresh(self._id_factory), parent, self._clock.issue(floor=floor), kind, payload)
-                for kind, payload in events
-            ]
-            self._table.append(rows)
+            last = self._clock._last
+            try:
+                rows: list[Row] = [
+                    (ActionId.fresh(self._id_factory), parent, self._clock.issue(floor=floor), kind, payload)
+                    for kind, payload in events
+                ]
+                self._table.append(rows)
+            except BaseException:
+                self._clock._last = last  # roll back: the batch issued nothing
+                raise
             ids = [row[0] for row in rows]
             self._advance(Emission(parent, frozenset(ids)))
             return ids

@@ -5,8 +5,10 @@ unreadable or malformed input, 3 exhausted enumeration budget.
 """
 
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 from cteg import SessionId, export_trace, import_trace
 from cteg.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, SimulationConfig, main, run_simulation
@@ -211,6 +213,16 @@ class TestOracle:
         )
         assert code == EXIT_OK
         assert "E0 != E1" not in out
+
+    def test_readme_example_output(self, capsys):
+        # the README's console block: the command line, then its stdout up to the fence
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        prompt = "$ cteg oracle "
+        block = readme[readme.index(prompt) :].split("```", 1)[0]
+        command, *expected = block.splitlines()
+        code, out, _ = run(capsys, *shlex.split(command)[2:])
+        assert code == EXIT_OK
+        assert out == "".join(line + "\n" for line in expected)
 
     def test_budget_exhaustion_exits_three(self, capsys):
         code, _, err = run(

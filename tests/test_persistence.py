@@ -215,6 +215,19 @@ class TestFileStore:
             assert reopened.session_ids() == (session,)
             assert reopened.load_session(session) == c
 
+    def test_payload_cap_applies_to_new_appends_only(self, tmp_path):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as first:
+            first.register_session(sid(1))
+            first.append_node(record(sid(1), 10, None, 0, payload=bytes(100)))
+        with FileStore(path, payload_cap=10) as reopened:
+            assert reopened.load_session(sid(1)).graph.payloads[aid(10)] == bytes(100)
+            with pytest.raises(PayloadTooLargeError):
+                reopened.append_node(record(sid(1), 11, 10, 1, payload=bytes(11)))
+            reopened.append_node(record(sid(1), 12, 10, 1, payload=bytes(10)))
+        with FileStore(path, payload_cap=10) as again:
+            assert again.load_session(sid(1)).graph.nodes == {aid(10), aid(12)}
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "log.cteg"
         path.write_bytes(b"NOTASTORE!" + b"\x00" * 8)

@@ -378,6 +378,14 @@ class TestRejectedSteps:
         assert s.snapshot() == before
         assert s.history() == history
 
+    def test_rejected_emit_leaves_the_clock_where_it_was(self):
+        s = begin_session(ty("task"), wall_clock=frozen_clock(), id_factory=scripted_ids(1, 2, 3, 3, 4))
+        with pytest.raises(DisjointnessError):
+            s.emit(s.root, [(ty("a"), b""), (ty("b"), b"")])
+        (node,) = s.emit(s.root, [(ty("a"), b"")])
+        assert node == aid(4)  # the rejected batch's draws stay consumed
+        assert s.snapshot().graph.t[node] == Timestamp(1)
+
     def test_graft_of_a_child_sharing_an_id_changes_nothing(self):
         # session 1 with root 2 emits node 3; child session 4 with root 5 emits node 3 again
         s = begin_session(ty("task"), wall_clock=frozen_clock(), id_factory=scripted_ids(1, 2, 3, 4, 5, 3))
