@@ -22,9 +22,10 @@ from .core import (
     Timestamp,
     ValidationFailedError,
     height,
+    projection_rows,
     temporal_projection,
 )
-from .dynamics import BudgetExceededError, UniverseBounds, e0_normalize, phi
+from .dynamics import BudgetExceededError, UniverseBounds, phi
 from .persistence import TraceFormatError, export_trace, import_trace
 from .session import FailurePolicy, Session, begin_session
 
@@ -167,11 +168,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     trace, code = _load_for_command(args.file, sys.stderr)
     if trace is None:
         return code
-    seq = e0_normalize(trace)
-    assert seq.steps is not None
-    for label in seq.steps:
-        (node,) = label.emitted  # one node per normalization step
-        print(f"{label.root.hex}\t{node.hex}\t{trace.graph.t[node].micros}")
+    # The emission-only schedule emits each non-root row from its parent, in projection order.
+    for node, parent, ts, _, _ in projection_rows(trace)[1:]:
+        print(f"{parent.hex}\t{node.hex}\t{ts.micros}")
     return EXIT_OK
 
 

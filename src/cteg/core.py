@@ -9,7 +9,9 @@ an opaque byte payload per node.
 This module holds the value types plus the static operations on them:
 diagnostic validation, the unique root-to-node path, grafting and the
 strict-timestamp compatibility rule for composing two CTEGs, temporal
-projection, and longest-path height. Every value is immutable after
+projection, longest-path height and a canonical one-line text of a graph.
+`graph_from_rows` and `projection_rows` are the only conversions between
+node-table rows and graphs. Every value is immutable after
 construction and all operations are pure, so everything here is safe to
 share between threads without synchronization.
 
@@ -19,6 +21,7 @@ sessions and stores keep their traces in; every prefix of its rows is a CTEG.
 
 from __future__ import annotations
 
+import base64
 import secrets
 from collections import deque
 from dataclasses import dataclass
@@ -47,6 +50,8 @@ __all__ = [
     "Row",
     "NodeTable",
     "graph_from_rows",
+    "projection_rows",
+    "graph_text",
     "validate_causal_graph",
     "validate_cteg",
     "causal_path",
@@ -419,11 +424,12 @@ class Cteg:
 Row = tuple[ActionId, ActionId | None, Timestamp, EventType, bytes]
 
 
-def graph_from_rows(rows: Iterable[Row]) -> TypedTemporalGraph:
+def graph_from_rows(rows: Iterable[Row], type_set: Iterable[EventType] | None = None) -> TypedTemporalGraph:
     """The graph of node-table rows (node, parent or None, timestamp, type, payload).
 
-    Edges follow parent pointers and the type set is the types in use. Only
-    representability is checked (ValueError); well-formedness is for `Cteg`.
+    Edges follow parent pointers; the type set is `type_set` when given and
+    the types in use otherwise. Only representability is checked
+    (ValueError); well-formedness is for `Cteg`.
     """
     edges: list[tuple[ActionId, ActionId]] = []
     t: dict[ActionId, Timestamp] = {}
@@ -435,7 +441,14 @@ def graph_from_rows(rows: Iterable[Row]) -> TypedTemporalGraph:
         if parent is not None:
             edges.append((parent, node))
         t[node], tau[node], payloads[node] = ts, event_type, payload
-    return TypedTemporalGraph(frozenset(t), frozenset(edges), t, tau, frozenset(tau.values()), payloads)
+    types = frozenset(tau.values()) if type_set is None else frozenset(type_set)
+    return TypedTemporalGraph(frozenset(t), frozenset(edges), t, tau, types, payloads)
+
+
+def projection_rows(c: Cteg) -> list[Row]:
+    """The trace's rows in temporal projection order, so every parent comes first."""
+    parents, g = c.parent_map(), c.graph
+    return [(n, parents.get(n), g.t[n], g.tau[n], g.payloads[n]) for n in temporal_projection(c)]
 
 
 class NodeTable:
@@ -653,3 +666,22 @@ def height(c: Cteg) -> int:
         for ch in children[n]:
             stack.append((ch, d + 1))
     return best
+
+
+def graph_text(g: TypedTemporalGraph) -> str:
+    """Compact canonical one-line rendering of a typed temporal graph.
+
+    Node entries are sorted by id as `id@micros:type` (with `=base64` only
+    for non-empty payloads); edges are sorted pairs. Two graphs are equal
+    exactly when their renderings are, making this suitable for golden
+    listings.
+    """
+    node_parts = []
+    for n in sorted(g.nodes):
+        part = f"{n.hex}@{g.t[n].micros}:{g.tau[n].name}"
+        if g.payloads[n]:
+            part += "=" + base64.b64encode(g.payloads[n]).decode("ascii")
+        node_parts.append(part)
+    edge_parts = [f"{a.hex}>{b.hex}" for a, b in sorted(g.edges)]
+    types_part = ",".join(ty.name for ty in sorted(g.type_set))
+    return f"types{{{types_part}}};nodes{{{','.join(node_parts)}}};edges{{{','.join(edge_parts)}}}"

@@ -4,15 +4,18 @@ Traces evolve from a single root by two local moves: a direct emission adds
 a non-empty batch of new children under one existing node, and an invocation
 grafts the final graph of a finished sub-execution at an attach node. An
 execution sequence records the chain of graphs one move at a time, together
-with step labels that witness how each extension was made.
+with step labels that witness how each extension was made. Chains built by
+this library extend by construction and skip the pair-by-pair proof that
+the public constructor runs (see `ExecutionSequence`).
 
 On top of the step semantics this module provides:
 
 - delta analysis (`is_emission_step` / `is_invocation_step`) that recognises
   a legal move purely from two successive graphs, without labels;
 - `e0_normalize`, which rebuilds any valid CTEG as an emission-only sequence
-  in timestamp order, and `replicate_as_e0_invocation`, which swaps the
-  sub-execution inside an invocation for its emission-only equivalent;
+  of its projection-order row prefixes, and `replicate_as_e0_invocation`,
+  which swaps the sub-execution inside an invocation for its emission-only
+  equivalent;
 - membership checking for the recursive closure of the dynamics;
 - an exhaustive bounded enumerator: `phi` maps a set of candidate
   sub-executions to every sequence buildable inside finite pools of node
@@ -26,8 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
+from itertools import combinations, islice, permutations, product
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     ActionId,
@@ -37,13 +40,16 @@ from .core import (
     Diagnostics,
     DisjointnessError,
     EventType,
+    Row,
     Timestamp,
     TypedTemporalGraph,
     UnknownNodeError,
     ValidationFailedError,
     Violation,
     graft,
-    temporal_projection,
+    graph_from_rows,
+    graph_text,
+    projection_rows,
     validate_cteg,
 )
 
@@ -131,6 +137,12 @@ class ExecutionSequence:
     that built the same chain by differently labelled moves are the same
     element of the sequence space. The hash is computed on first use and
     then cached.
+
+    The constructor proves extension pair by pair. Chains the library builds
+    go through `_chain` and skip that proof, as they extend by construction:
+    prefixes of one append-only row list (`Session.history`, `e0_normalize`),
+    an injectively renamed checked chain (`phi`'s graft candidates), and a
+    checked chain plus one graph, whose one new pair `_extend` still checks.
     """
 
     graphs: tuple[TypedTemporalGraph, ...]
@@ -152,6 +164,20 @@ class ExecutionSequence:
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _chain(cls, graphs: tuple[TypedTemporalGraph, ...], steps: tuple[StepLabel, ...] | None):
+        """A chain that extends by construction, built without the per-pair proof."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "graphs", graphs)
+        object.__setattr__(s, "steps", steps)
+        object.__setattr__(s, "_hash", None)
+        return s
+
+    @classmethod
+    def _prefixes(cls, rows: Sequence[Row], marks: Iterable[int], steps: tuple[StepLabel, ...], type_set=None):
+        """The chain of `graph_from_rows(rows[:m], type_set)` for each mark `m`; each extends the last."""
+        return cls._chain(tuple(graph_from_rows(islice(rows, m), type_set) for m in marks), steps)
+
     def _extend(self, g2: TypedTemporalGraph, label: StepLabel) -> "ExecutionSequence":
         """This labelled sequence followed by `g2`, checking only the new pair.
 
@@ -161,11 +187,7 @@ class ExecutionSequence:
         if not self.final.is_subgraph_of(g2):
             raise ValueError("each graph must extend the previous one")
         assert self.steps is not None
-        s2 = object.__new__(ExecutionSequence)
-        object.__setattr__(s2, "graphs", self.graphs + (g2,))
-        object.__setattr__(s2, "steps", self.steps + (label,))
-        object.__setattr__(s2, "_hash", None)
-        return s2
+        return ExecutionSequence._chain(self.graphs + (g2,), self.steps + (label,))
 
     @property
     def final(self) -> TypedTemporalGraph:
@@ -350,30 +372,12 @@ def e0_normalize(c: Cteg) -> ExecutionSequence:
     The schedule starts from the single root and emits one non-root node per
     step, in nondecreasing timestamp order with node-id tie-breaking, each
     from its unique parent. The sequence therefore has exactly as many graphs
-    as `c` has nodes.
+    as `c` has nodes: the prefixes of `projection_rows(c)`, each declaring
+    the type set of `c`.
     """
-    order = temporal_projection(c)
-    parents = c.parent_map()
-    g = TypedTemporalGraph.trivial(
-        c.root,
-        c.graph.t[c.root],
-        c.graph.tau[c.root],
-        payload=c.graph.payloads[c.root],
-        type_set=c.graph.type_set,
-    )
-    graphs = [g]
-    steps: list[StepLabel] = []
-    for n in order[1:]:
-        p = parents[n]
-        g = apply_emission(
-            g,
-            p,
-            {n: (c.graph.t[n], c.graph.tau[n])},
-            payloads={n: c.graph.payloads[n]},
-        )
-        graphs.append(g)
-        steps.append(Emission(p, frozenset({n})))
-    return ExecutionSequence(tuple(graphs), tuple(steps))
+    rows = projection_rows(c)
+    steps = tuple(Emission(parent, frozenset({node})) for node, parent, *_ in rows[1:])
+    return ExecutionSequence._prefixes(rows, range(1, len(rows) + 1), steps, c.graph.type_set)
 
 
 def replicate_as_e0_invocation(step: Invocation) -> Invocation:
@@ -386,15 +390,11 @@ def replicate_as_e0_invocation(step: Invocation) -> Invocation:
     """
     if not isinstance(step, Invocation):
         raise TypeError("replicate_as_e0_invocation expects an Invocation step")
-    final = step.subtrace.final
-    diag = validate_cteg(final, step.attach)
-    if not diag.ok:
-        raise ValidationFailedError(diag, "sub-execution final graph is not a valid CTEG")
-    return Invocation(
-        root=step.root,
-        subtrace=e0_normalize(Cteg(final, step.attach)),
-        attach=step.attach,
-    )
+    try:
+        sub = Cteg(step.subtrace.final, step.attach)
+    except ValidationFailedError as exc:
+        raise ValidationFailedError(exc.diagnostics, "sub-execution final graph is not a valid CTEG") from None
+    return Invocation(root=step.root, subtrace=e0_normalize(sub), attach=step.attach)
 
 
 def _is_trivial(g: TypedTemporalGraph) -> bool:
@@ -506,9 +506,10 @@ def _rename_graph(g: TypedTemporalGraph, m: Mapping[ActionId, ActionId]) -> Type
 
 def _rename_chain(seq: ExecutionSequence, m: Mapping[ActionId, ActionId]) -> ExecutionSequence:
     # Graphs in a chain only ever use nodes of the final graph, so the
-    # renaming is total on them. Labels are dropped rather than renamed:
-    # hand-built label trees may mention ids the mapping does not cover.
-    return ExecutionSequence(tuple(_rename_graph(g, m) for g in seq.graphs), None)
+    # renaming is total on them, and being injective it keeps the chain
+    # extending. Labels are dropped rather than renamed: hand-built label
+    # trees may mention ids the mapping does not cover.
+    return ExecutionSequence._chain(tuple(_rename_graph(g, m) for g in seq.graphs), None)
 
 
 def _shape(f: TypedTemporalGraph, src: list[ActionId]) -> tuple:
@@ -719,7 +720,5 @@ def hierarchy(
 
 def canonical_listing(seqs: Iterable[ExecutionSequence]) -> str:
     """Canonical text listing of a sequence set: one sorted line per sequence."""
-    from .persistence import graph_text
-
     lines = sorted(" -> ".join(graph_text(g) for g in s.graphs) for s in seqs)
     return "".join(line + "\n" for line in lines)

@@ -31,7 +31,6 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 from threading import RLock
-from typing import Iterator
 
 from .core import (
     ActionId,
@@ -48,7 +47,8 @@ from .core import (
     TypedTemporalGraph,
     UnknownParentError,
     graph_from_rows,
-    temporal_projection,
+    graph_text,
+    projection_rows,
 )
 from .session import SessionId
 
@@ -140,8 +140,11 @@ class MemoryStore:
             return sid
 
     def append_node(self, rec: NodeRecord) -> None:
-        """Validate and append one node row."""
+        """Validate and append one node row; its payload must fit the cap."""
         with self._lock:
+            cap = self._payload_cap
+            if len(rec.payload) > cap:
+                raise PayloadTooLargeError(f"payload of {len(rec.payload)} bytes exceeds cap of {cap}")
             self._append(rec)
 
     def _append(self, rec: SessionId | NodeRecord) -> None:
@@ -149,7 +152,7 @@ class MemoryStore:
         self._write(rec)
         self._admit(rec, checked)
 
-    def _validate(self, rec: SessionId | NodeRecord, *, capped: bool = True) -> _Checked | None:
+    def _validate(self, rec: SessionId | NodeRecord) -> _Checked | None:
         if isinstance(rec, SessionId):
             if rec in self._tables:
                 raise DuplicateSessionError(f"session {rec.hex} is already registered")
@@ -157,8 +160,6 @@ class MemoryStore:
         table = self._tables.get(rec.session_id)
         if table is None:
             raise UnknownSessionError(f"session {rec.session_id.hex} is not registered")
-        if capped and len(rec.payload) > self._payload_cap:
-            raise PayloadTooLargeError(f"payload of {len(rec.payload)} bytes exceeds cap of {self._payload_cap}")
         rows = ((rec.node_id, rec.parent_id, rec.timestamp, rec.event_type, rec.payload),)
         return table, rows, table.check(rows)
 
@@ -308,7 +309,7 @@ class FileStore(MemoryStore):
         end = len(_MAGIC)
         try:
             for record, end in _iter_complete_records(data, end):
-                self._admit(record, self._validate(record, capped=False))
+                self._admit(record, self._validate(record))
         except StoreError as exc:
             raise CorruptStoreError(f"replay failed: {exc}") from exc
         if end < len(data):
@@ -350,14 +351,8 @@ def append_trace(store: MemoryStore, session_id: SessionId, c: Cteg) -> None:
     children, so the rows pass the store's incremental checks. The session
     must already be registered.
     """
-    for node, parent, ts, event_type, payload in _projection_rows(c):
+    for node, parent, ts, event_type, payload in projection_rows(c):
         store.append_node(NodeRecord(node, session_id, parent, ts, event_type, payload))
-
-
-def _projection_rows(c: Cteg) -> Iterator[Row]:
-    """The trace's rows in temporal projection order, so every parent comes first."""
-    parents, g = c.parent_map(), c.graph
-    return ((n, parents.get(n), g.t[n], g.tau[n], g.payloads[n]) for n in temporal_projection(c))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +371,7 @@ def export_trace(c: Cteg, session: SessionId) -> bytes:
     equal traces yields identical bytes.
     """
     lines = [_HEADER_PREFIX + session.hex]
-    for node, parent, ts, event_type, payload in _projection_rows(c):
+    for node, parent, ts, event_type, payload in projection_rows(c):
         parent_field = parent.hex if parent is not None else "-"
         payload_field = base64.b64encode(payload).decode("ascii")
         lines.append("\t".join((node.hex, parent_field, str(ts.micros), event_type.name, payload_field)))
@@ -465,22 +460,3 @@ def import_trace(data: bytes) -> tuple[Cteg, SessionId]:
     """
     graph, root, session = parse_trace(data)
     return Cteg(graph, root), session
-
-
-def graph_text(g: TypedTemporalGraph) -> str:
-    """Compact canonical one-line rendering of a typed temporal graph.
-
-    Node entries are sorted by id as `id@micros:type` (with `=base64` only
-    for non-empty payloads); edges are sorted pairs. Two graphs are equal
-    exactly when their renderings are, making this suitable for golden
-    listings.
-    """
-    node_parts = []
-    for n in sorted(g.nodes):
-        part = f"{n.hex}@{g.t[n].micros}:{g.tau[n].name}"
-        if g.payloads[n]:
-            part += "=" + base64.b64encode(g.payloads[n]).decode("ascii")
-        node_parts.append(part)
-    edge_parts = [f"{a.hex}>{b.hex}" for a, b in sorted(g.edges)]
-    types_part = ",".join(ty.name for ty in sorted(g.type_set))
-    return f"types{{{types_part}}};nodes{{{','.join(node_parts)}}};edges{{{','.join(edge_parts)}}}"

@@ -19,8 +19,10 @@ table the stores keep too, so an emit or a graft costs what it adds, not
 the size of the trace. The table checks each emitted batch row by row and
 each graft by its one new edge. No step re-validates the whole trace:
 `snapshot` builds the graph from the rows and validates it once per
-change. `history` is materialised on demand from row prefixes, and an
-invocation label carries the settled child's own history.
+change. `history` is materialised on demand, one graph per state from a
+prefix of the rows, and an invocation label carries the settled child's
+own history. It skips the execution sequence's pair-by-pair extension
+proof: a prefix of the append-only rows extends every shorter one.
 
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
@@ -45,7 +47,6 @@ from .core import (
     Row,
     Timestamp,
     _OpaqueId,
-    graph_from_rows,
 )
 from .dynamics import (
     Emission,
@@ -139,10 +140,10 @@ class _MonotoneClock:
 class Session:
     """A single agent's execution trace under construction.
 
-    Create sessions through `begin_session` (or `invoke_subagent` for
-    children). The current trace is always a valid CTEG; `snapshot` returns
-    it as an immutable value and `history` returns the full labelled chain
-    of states reached so far.
+    `begin_session` is this class under its public name; children come
+    from `invoke_subagent`. The current trace is always a valid CTEG;
+    `snapshot` returns it as an immutable value and `history` returns the
+    full labelled chain of states reached so far.
     """
 
     def __init__(
@@ -154,6 +155,12 @@ class Session:
         wall_clock: Callable[[], int] | None = None,
         id_factory: Callable[[], bytes] | None = None,
     ) -> None:
+        """Start a fresh session whose trace is a single typed root node.
+
+        The root timestamp strictly exceeds `lower_bound` when one is given.
+        `wall_clock` (microseconds) and `id_factory` (16-byte draws) exist
+        for deterministic construction in simulations and tests.
+        """
         self._wall = wall_clock if wall_clock is not None else _wall_clock_micros
         self._id_factory = id_factory
         self._clock = _MonotoneClock(self._wall, lower_bound)
@@ -192,12 +199,11 @@ class Session:
     def history(self) -> ExecutionSequence:
         """Every state the trace has passed through, with step labels, built on demand."""
         with self._lock:
-            graphs = tuple(graph_from_rows(self._table.rows[:mark]) for mark in self._marks)
             labels = tuple(
                 step if isinstance(step, Emission) else Invocation(step[0], step[1].history(), step[1].root)
                 for step in self._steps
             )
-            return ExecutionSequence(graphs, labels)
+            return ExecutionSequence._prefixes(self._table.rows, self._marks, labels)
 
     def emit(self, parent: ActionId, events: Sequence[tuple[EventType, bytes]]) -> list[ActionId]:
         """Add one batch of typed events as children of `parent`.
@@ -301,24 +307,4 @@ class Session:
         return f"Session(id={self._id.hex[:8]}, status={self._status.value}, nodes={len(self._table.rows)})"
 
 
-def begin_session(
-    root_type: EventType,
-    payload: bytes = b"",
-    lower_bound: Timestamp | None = None,
-    *,
-    wall_clock: Callable[[], int] | None = None,
-    id_factory: Callable[[], bytes] | None = None,
-) -> Session:
-    """Start a fresh session whose trace is a single typed root node.
-
-    The root timestamp strictly exceeds `lower_bound` when one is given.
-    `wall_clock` (microseconds) and `id_factory` (16-byte draws) exist for
-    deterministic construction in simulations and tests.
-    """
-    return Session(
-        root_type,
-        payload=payload,
-        lower_bound=lower_bound,
-        wall_clock=wall_clock,
-        id_factory=id_factory,
-    )
+begin_session = Session

@@ -9,8 +9,9 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
-from cteg import SessionId, export_trace, import_trace
+from cteg import SessionId, TypedTemporalGraph, export_trace, import_trace
 from cteg.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, SimulationConfig, main, run_simulation
 from cteg.dynamics import Emission
 from util import cteg, hexid, random_cteg
@@ -168,6 +169,21 @@ class TestNormalize:
         path = write_trace(tmp_path, "t.cteg", c)
         _, out, _ = run(capsys, "normalize", path)
         assert len(out.strip().splitlines()) == 16
+
+    def test_builds_only_the_graph_its_import_builds(self, tmp_path, capsys):
+        c = random_cteg(random.Random(7), 40)
+        path = write_trace(tmp_path, "t.cteg", c)
+        built = []
+        check = TypedTemporalGraph.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        with mock.patch.object(TypedTemporalGraph, "__post_init__", counting):
+            code, out, _ = run(capsys, "normalize", path)
+        assert code == EXIT_OK and len(out.splitlines()) == 39
+        assert built == [c.graph]
 
 
 class TestProject:

@@ -4,7 +4,11 @@ Covered claims:
     - identifier, timestamp and type invariants hold at construction
     - validators report every violated arborescence / timestamp condition
     - root-to-node paths are unique (checked against brute-force search)
-    - node-table rows build the graph their parent pointers describe
+    - node-table rows build the graph their parent pointers describe, and a
+      trace's projection rows rebuild the trace
+    - the module surface: `graph_text` is one function under three names,
+      and constants and aliases that only their own module uses are not
+      exported from the package
     - grafting unions structure, preserves in-degrees, and composes two
       valid graphs exactly when the new edge strictly increases in time
     - temporal projection is a deterministic nondecreasing bijection and
@@ -36,7 +40,9 @@ from cteg import (
     validate_causal_graph,
     validate_cteg,
 )
-from cteg.core import graph_from_rows
+import cteg as package
+from cteg import commitment, core, dynamics, persistence
+from cteg.core import graph_from_rows, projection_rows
 from util import aid, all_simple_paths, brute_force_in_degrees, cteg, ctegs, graph, random_cteg, ts, ty
 
 
@@ -155,6 +161,30 @@ class TestGraphFromRows:
     def test_parent_outside_the_rows_rejected(self):
         with pytest.raises(ValueError, match="endpoint"):
             graph_from_rows([(aid(2), aid(1), ts(1), ty("evt"), b"")])
+
+    def test_declared_type_set_replaces_the_types_in_use(self):
+        rows = [(aid(1), None, ts(0), ty("task"), b"")]
+        assert graph_from_rows(rows).type_set == {ty("task")}
+        assert graph_from_rows(rows, {ty("task"), ty("spare")}).type_set == {ty("task"), ty("spare")}
+        with pytest.raises(ValueError, match="outside the declared type set"):
+            graph_from_rows(rows, {ty("spare")})
+
+    @given(ctegs())
+    def test_projection_rows_rebuild_the_trace(self, c):
+        rows = projection_rows(c)
+        assert [row[0] for row in rows] == list(temporal_projection(c))
+        assert rows[0][1] is None and rows[0][0] == c.root
+        assert graph_from_rows(rows, c.graph.type_set) == c.graph
+
+
+class TestModuleSurface:
+    def test_graph_text_is_one_function(self):
+        assert package.graph_text is persistence.graph_text is core.graph_text
+
+    def test_module_constants_stay_out_of_the_package_surface(self):
+        for name, module in (("StepLabel", dynamics), ("DEFAULT_PAYLOAD_CAP", persistence), ("DOMAIN_TAG", commitment)):
+            assert name in module.__all__ and hasattr(module, name)
+            assert name not in package.__all__ and not hasattr(package, name)
 
 
 class TestValidateCausalGraph:

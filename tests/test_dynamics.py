@@ -6,7 +6,9 @@ Covered claims:
     - delta analysis recognises exactly the legal steps, including the
       singleton case where both readings coincide
     - e0_normalize round-trips any valid trace through an emission-only
-      schedule, and replaying that schedule rebuilds the trace exactly
+      schedule, and replaying that schedule rebuilds the trace exactly; it
+      equals the reference replay in `util` (graphs, declared type sets and
+      labels), passes the public constructor, and runs no extension proof
     - invocation application is opaque: only the sub-execution's final
       graph matters
     - membership accepts exactly chains of legal steps and is closed under
@@ -22,6 +24,7 @@ Covered claims:
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -54,10 +57,12 @@ from cteg import (
     validate_cteg,
 )
 from cteg.cli import _oracle_bounds
+from cteg.dynamics import _rename_chain
 from util import (
     aid,
     budget_spent,
     chains_of,
+    counting_subgraph_proofs,
     cteg,
     ctegs,
     enumerate_closure,
@@ -66,6 +71,7 @@ from util import (
     junk_sequence,
     label_listing,
     random_cteg,
+    reference_e0_normalize,
     reference_phi,
     ts,
     ty,
@@ -292,6 +298,39 @@ class TestE0Normalize:
         assert g == c.graph
 
 
+@st.composite
+def ctegs_declaring_types(draw):
+    """Traces from `ctegs`, some declaring types they do not use."""
+    c = draw(ctegs(max_nodes=20))
+    extra = draw(st.sets(st.sampled_from(["spare", "idle", "task"]), max_size=2))
+    g = c.graph
+    declared = g.type_set | {ty(name) for name in extra}
+    return Cteg(TypedTemporalGraph(g.nodes, g.edges, g.t, g.tau, declared, g.payloads), c.root)
+
+
+class TestE0NormalizeMatchesReference:
+    @given(ctegs_declaring_types())
+    def test_equals_the_reference_replay(self, c):
+        seq, ref = e0_normalize(c), reference_e0_normalize(c)
+        assert seq.graphs == ref.graphs
+        assert [g.type_set for g in seq.graphs] == [g.type_set for g in ref.graphs]
+        assert all(g.type_set == c.graph.type_set for g in seq.graphs)
+        assert seq.steps == ref.steps
+
+    @given(ctegs_declaring_types())
+    def test_public_constructor_accepts_it(self, c):
+        seq = e0_normalize(c)
+        rebuilt = ExecutionSequence(seq.graphs, seq.steps)
+        assert rebuilt == seq and rebuilt.steps == seq.steps
+
+    def test_runs_no_extension_proof(self):
+        c = random_cteg(random.Random(4), 30)
+        calls, patch = counting_subgraph_proofs()
+        with patch:
+            e0_normalize(c)
+        assert calls == []
+
+
 class TestReplicateAsE0Invocation:
     def _nested_invocation_step(self):
         inner_final = graph({7: 4, 8: 5}, {(7, 8)})
@@ -343,6 +382,21 @@ class TestReplicateAsE0Invocation:
         bad = Invocation(root=aid(1), subtrace=step_like, attach=aid(5))
         with pytest.raises(ValidationFailedError):
             replicate_as_e0_invocation(bad)
+
+    def test_invalid_final_keeps_its_context_and_diagnostics(self):
+        final = graph({5: 2, 6: 4, 7: 3}, {(5, 6), (5, 7), (7, 6)})
+        bad = Invocation(root=aid(1), subtrace=ExecutionSequence((final,), ()), attach=aid(5))
+        with pytest.raises(ValidationFailedError) as info:
+            replicate_as_e0_invocation(bad)
+        assert info.value.diagnostics == validate_cteg(final, aid(5))
+        assert str(info.value).startswith("sub-execution final graph is not a valid CTEG: in-degree: ")
+
+    def test_final_graph_is_validated_once(self):
+        step = self._nested_invocation_step()
+        spy = mock.Mock(wraps=validate_cteg)
+        with mock.patch("cteg.core.validate_cteg", spy), mock.patch("cteg.dynamics.validate_cteg", spy):
+            replicate_as_e0_invocation(step)
+        assert spy.call_count == 1
 
 
 class TestMembership:
@@ -418,6 +472,19 @@ class TestPhi:
         assert s2.steps == (label,)
         with pytest.raises(ValueError):
             s._extend(graph({1: 5, 2: 6}, {(1, 2)}), label)  # node 1 moved in time
+
+    def test_renaming_runs_no_proof_and_extension_runs_one(self):
+        seq = e0_normalize(random_cteg(random.Random(5), 6))
+        renaming = {n: aid(100 + i) for i, n in enumerate(sorted(seq.final.nodes))}
+        (root,) = seq.graphs[0].nodes
+        g2 = apply_emission(seq.final, root, {aid(999): (ts(seq.final.t[root].micros + 1), ty("task"))})
+        calls, patch = counting_subgraph_proofs()
+        with patch:
+            renamed = _rename_chain(seq, renaming)
+            assert calls == []
+            seq._extend(g2, Emission(root, frozenset({aid(999)})))
+        assert calls == [1]
+        assert ExecutionSequence(renamed.graphs) == renamed
 
     @pytest.mark.parametrize("n_types,expected", [(1, 4), (3, 12)])
     def test_base_level_count_matches_direct_formula(self, n_types, expected):

@@ -11,7 +11,9 @@ Covered claims:
     - snapshots are always valid and the recorded history is a member of
       the recursive closure
     - the row-built history and snapshot match the reference step
-      functions replayed from the history's own labels
+      functions replayed from the history's own labels; the history, and
+      every child history in its labels, passes the public constructor,
+      and building it runs no extension proof
     - rejected emits and grafts raise today's error classes and leave the
       trace and its history unchanged
 """
@@ -29,9 +31,11 @@ from cteg import (
     DisjointnessError,
     Emission,
     EmptyEmissionError,
+    ExecutionSequence,
     FailurePolicy,
     InactiveSessionError,
     Invocation,
+    Session,
     SessionMismatchError,
     SessionStatus,
     SubagentHandle,
@@ -44,7 +48,7 @@ from cteg import (
     is_member_e_infinity,
     validate_cteg,
 )
-from util import aid, ty
+from util import aid, counting_subgraph_proofs, ty
 
 
 def frozen_clock(value: int = 0):
@@ -73,6 +77,9 @@ class TestBeginSession:
         assert snap.graph.edges == frozenset()
         assert snap.graph.tau[snap.root] == ty("task")
         assert s.status is SessionStatus.ACTIVE
+
+    def test_begin_session_is_the_session_class(self):
+        assert begin_session is Session
 
     def test_lower_bound_is_strictly_exceeded(self):
         s = begin_session(ty("task"), lower_bound=Timestamp(100), wall_clock=frozen_clock())
@@ -361,6 +368,26 @@ class TestRowsAgainstReference:
         assert _replay(history) == history.graphs
         assert s.snapshot().graph == history.final
         assert is_member_e_infinity(history).ok
+
+    @given(script=_scripts(3), seed=st.integers(0, 2**32 - 1))
+    def test_public_constructor_accepts_the_history(self, script, seed):
+        s = quiet_session(seed)
+        _drive(s, script)
+        pending = [s.history()]
+        while pending:
+            seq = pending.pop()
+            rebuilt = ExecutionSequence(seq.graphs, seq.steps)
+            assert rebuilt == seq and rebuilt.steps == seq.steps
+            pending += [label.subtrace for label in seq.steps if isinstance(label, Invocation)]
+
+    def test_history_runs_no_extension_proof(self):
+        s = quiet_session(3)
+        _drive(s, [("emit", 0, "a", 2), ("invoke", 1, None, [("emit", 0, "b", 1)]), ("emit", 2, "c", 1)])
+        calls, patch = counting_subgraph_proofs()
+        with patch:
+            history = s.history()
+        assert len(history) == 4 and len(history.steps[1].subtrace) == 2
+        assert calls == []
 
 
 def scripted_ids(*ints):

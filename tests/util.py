@@ -25,8 +25,11 @@ from cteg import (
     Timestamp,
     TypedTemporalGraph,
     UniverseBounds,
+    apply_emission,
+    temporal_projection,
 )
 from cteg.dynamics import (
+    StepLabel,
     _Budget,
     _emission_successors,
     _invocation_successors,
@@ -388,6 +391,37 @@ def reference_phi(
     return frozenset(result)
 
 
+# ---------------------------------------------------------------------------
+# Reference normalization: `e0_normalize` as it was before it became the row
+# prefixes of the projection. It replays the trace one `apply_emission` at a
+# time and re-checks every pair in the public constructor.
+
+
+def reference_e0_normalize(c: Cteg) -> ExecutionSequence:
+    order = temporal_projection(c)
+    parents = c.parent_map()
+    g = TypedTemporalGraph.trivial(
+        c.root,
+        c.graph.t[c.root],
+        c.graph.tau[c.root],
+        payload=c.graph.payloads[c.root],
+        type_set=c.graph.type_set,
+    )
+    graphs = [g]
+    steps: list[StepLabel] = []
+    for n in order[1:]:
+        p = parents[n]
+        g = apply_emission(
+            g,
+            p,
+            {n: (c.graph.t[n], c.graph.tau[n])},
+            payloads={n: c.graph.payloads[n]},
+        )
+        graphs.append(g)
+        steps.append(Emission(p, frozenset({n})))
+    return ExecutionSequence(tuple(graphs), tuple(steps))
+
+
 def chain_text(seq: ExecutionSequence) -> str:
     return " -> ".join(graph_text(g) for g in seq.graphs)
 
@@ -426,6 +460,18 @@ def budget_spent(run):
     with mock.patch.object(_Budget, "spend", counting_spend):
         result = run()
     return spent, result
+
+
+def counting_subgraph_proofs():
+    """A list and a patch of `is_subgraph_of` that appends to it once per call."""
+    calls = []
+    proof = TypedTemporalGraph.is_subgraph_of
+
+    def counting(self, other):
+        calls.append(1)
+        return proof(self, other)
+
+    return calls, mock.patch.object(TypedTemporalGraph, "is_subgraph_of", counting)
 
 
 # ---------------------------------------------------------------------------
