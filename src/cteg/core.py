@@ -304,6 +304,30 @@ class TypedTemporalGraph:
             payloads={node: payload},
         )
 
+    @classmethod
+    def _unchecked(
+        cls,
+        nodes: frozenset[ActionId],
+        edges: frozenset[tuple[ActionId, ActionId]],
+        t: dict[ActionId, Timestamp],
+        tau: dict[ActionId, EventType],
+        type_set: frozenset[EventType],
+        payloads: dict[ActionId, bytes],
+    ) -> "TypedTemporalGraph":
+        """A graph whose fields are well formed by construction, stored as given.
+
+        The caller guarantees what `__post_init__` checks and converts to:
+        frozensets of nodes, edge pairs and types; timestamp, type and payload
+        dicts total on the nodes; edges and types inside their sets. The
+        bounded enumeration renames checked graphs injectively this way.
+        """
+        g = object.__new__(cls)
+        vars(g).update(
+            nodes=nodes, edges=edges, t=t, tau=tau, type_set=type_set, payloads=payloads,
+            _key=None, _hash=None, _children=None, _indeg=None,
+        )
+        return g
+
     def _canonical_key(self) -> tuple:
         """The graph's canonical form, built on first use and then cached.
 

@@ -22,15 +22,18 @@ On top of the step semantics this module provides:
   ids, timestamps and types, and `hierarchy` iterates it from the empty
   set. At desk scale this machine-checks that the levels ascend, that depth
   one is strictly richer than depth zero, that the chain stabilises, and
-  that the stable set is a fixed point.
+  that the stable set is a fixed point. Renaming node ids maps every level
+  onto itself, so `phi` grows one representative per orbit under renaming
+  and expands the orbits into their members at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, islice, permutations, product
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
+from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, groupby, islice, permutations, product
+from operator import attrgetter, itemgetter
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     ActionId,
@@ -123,10 +126,10 @@ class Invocation:
             raise AttachPointError(f"attach node {self.attach.hex} does not have in-degree zero")
 
 
-StepLabel = Union[Emission, Invocation]
+StepLabel = Emission | Invocation
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ExecutionSequence:
     """A finite chain of typed temporal graphs, each extending the last.
 
@@ -141,12 +144,14 @@ class ExecutionSequence:
     The constructor proves extension pair by pair. Chains the library builds
     go through `_chain` and skip that proof, as they extend by construction:
     prefixes of one append-only row list (`Session.history`, `e0_normalize`),
-    an injectively renamed checked chain (`phi`'s graft candidates), and a
-    checked chain plus one graph, whose one new pair `_extend` still checks.
+    an injectively renamed checked chain (`phi`'s members and graft
+    subtraces), and a checked chain plus one graph, whose one new pair
+    `_extend` still checks.
     """
 
     graphs: tuple[TypedTemporalGraph, ...]
     steps: tuple[StepLabel, ...] | None = None
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         graphs = tuple(self.graphs)
@@ -494,13 +499,14 @@ def _seq_sort_key(seq: ExecutionSequence):
 
 
 def _rename_graph(g: TypedTemporalGraph, m: Mapping[ActionId, ActionId]) -> TypedTemporalGraph:
-    return TypedTemporalGraph(
-        nodes=frozenset(m[n] for n in g.nodes),
-        edges=frozenset((m[a], m[b]) for a, b in g.edges),
-        t={m[n]: ts for n, ts in g.t.items()},
-        tau={m[n]: ty for n, ty in g.tau.items()},
-        type_set=g.type_set,
-        payloads={m[n]: pl for n, pl in g.payloads.items()},
+    # An injective renaming of a checked graph is well formed.
+    return TypedTemporalGraph._unchecked(
+        frozenset(m[n] for n in g.nodes),
+        frozenset((m[a], m[b]) for a, b in g.edges),
+        {m[n]: ts for n, ts in g.t.items()},
+        {m[n]: ty for n, ty in g.tau.items()},
+        g.type_set,
+        {m[n]: pl for n, pl in g.payloads.items()},
     )
 
 
@@ -512,134 +518,257 @@ def _rename_chain(seq: ExecutionSequence, m: Mapping[ActionId, ActionId]) -> Exe
     return ExecutionSequence._chain(tuple(_rename_graph(g, m) for g in seq.graphs), None)
 
 
-def _shape(f: TypedTemporalGraph, src: list[ActionId]) -> tuple:
-    """Canonical form of `f` up to renaming its nodes.
+# ---------------------------------------------------------------------------
+# Enumeration up to renaming of action ids.
+#
+# Renaming action ids maps every bounded sequence, graft candidate and step
+# label onto another; only timestamps carry order. So `phi` grows one
+# representative per orbit of sequences under renaming, charges the budget
+# per orbit by orbit-stabiliser counts, and expands the orbits into their
+# members at the end. A representative numbers its nodes 0..k-1 in order of
+# appearance, so its prefix is its parent's representative under the same
+# numbering. A node column is `(Timestamp, EventType, payload)`.
 
-    The least, over every ordering of `src` (the nodes of `f`), of the edges
-    and the `(micros, type name, payload)` column under that ordering,
-    together with the type set. Two graphs share a shape exactly when some
-    bijection of their nodes carries one onto the other.
+
+def _least(cols, edges: Sequence[tuple[int, int]], nodes: Iterable[int], fixed=((),)):
+    """A canonical form up to renaming `nodes`, and every node ordering that attains it.
+
+    The orderings are one of `fixed` (orderings of the other nodes) followed
+    by `nodes` sorted by label, in every order within runs of equal labels;
+    a label is a node's column as primitives and its degrees. The form is
+    the sorted labels and the least sorted edge list over those orderings.
     """
-    cols = {n: (f.t[n].micros, f.tau[n].name, f.payloads[n]) for n in src}
-    best = None
-    for order in permutations(src):
-        pos = {n: i for i, n in enumerate(order)}
-        form = (tuple(sorted((pos[a], pos[b]) for a, b in f.edges)), tuple(cols[n] for n in order))
+    deg = {x: [0, 0] for x in nodes}
+    for a, b in edges:
+        if a in deg:
+            deg[a][1] += 1
+        if b in deg:
+            deg[b][0] += 1
+    labelled = sorted(((cols[x][0].micros, cols[x][1].name, cols[x][2], *d), x) for x, d in deg.items())
+    runs = [list(permutations(x for _label, x in run)) for _label, run in groupby(labelled, key=itemgetter(0))]
+    best, hits, pos = None, [], [0] * len(cols)
+    for choice in product(fixed, *runs):
+        order = [x for block in choice for x in block]
+        for i, x in enumerate(order):
+            pos[x] = i
+        form = sorted((pos[a], pos[b]) for a, b in edges)
         if best is None or form < best:
-            best = form
-    return best, tuple(sorted(ty.name for ty in f.type_set))
+            best, hits = form, [order]
+        elif form == best:
+            hits.append(order)
+    return (tuple(label for label, _x in labelled), tuple(best)), hits
 
 
-def _trivial_graphs(bounds: UniverseBounds) -> list[TypedTemporalGraph]:
-    return [
-        TypedTemporalGraph.trivial(a, ts, ty, type_set=bounds.types)
-        for a in bounds.actions
-        for ts in bounds.timestamps
-        for ty in sorted(bounds.types)
-    ]
+def _automorphisms(hits: list[list[int]]) -> list[tuple[int, ...]]:
+    """The node maps that carry the first least ordering onto each, identity first."""
+    back = {x: i for i, x in enumerate(hits[0])}
+    return [tuple(order[back[x]] for x in range(len(order))) for order in hits]
 
 
-def _graft_candidates(
-    pool: Iterable[ExecutionSequence],
-    bounds: UniverseBounds,
-    budget: _Budget,
-) -> dict[frozenset[ActionId], list[tuple[TypedTemporalGraph, ActionId, ExecutionSequence]]]:
-    """All renamed final graphs of `pool`, grouped by the node ids they occupy.
+class _Class(NamedTuple):
+    """Isomorphic usable pool finals: graft candidates once renamed into the action pool.
 
-    Candidate sub-executions contribute only their final graph, injectively
-    renamed into the action pool in every possible way (renaming preserves
-    structure and is how disjointness is achieved inside a finite pool).
-    Finals whose timestamps or types fall outside the bounds can never occur
-    inside a bounded sequence and are skipped.
-
-    Finals are visited in sorted order and renamed once per isomorphism
-    class: every renaming of a later member of a class equals one of the
-    first member's, so it could only add `(graph, attach)` pairs already
-    present. Skipping it leaves the result, its order and the representative
-    subtraces unchanged. The budget still counts every renaming, so a
-    skipped final spends the renamings it would have made.
+    `rep` is the least pool sequence (by `_seq_sort_key`) whose final is in
+    the class; `cols`, `edges`, `zero_in` and `aut` (the final's
+    automorphisms) index into `src`, the sorted nodes of that final.
     """
-    ts_pool = set(bounds.timestamps)
-    finals: dict[TypedTemporalGraph, ExecutionSequence] = {}
-    for seq in sorted(pool, key=_seq_sort_key):
+
+    rep: ExecutionSequence
+    src: tuple[ActionId, ...]
+    cols: tuple
+    edges: tuple[tuple[int, int], ...]
+    type_set: frozenset[EventType]
+    zero_in: tuple[int, ...]
+    aut: list[tuple[int, ...]]
+
+
+def _graft_classes(pool: Iterable[ExecutionSequence], bounds: UniverseBounds, budget: _Budget) -> list[_Class]:
+    """The usable pool finals, grouped by isomorphism class, classes in order of their `rep`.
+
+    A final is usable when it leaves room for a host node, its timestamps
+    and types lie in the bounds and it has an in-degree-zero node. The
+    budget is charged every injective renaming of every distinct usable
+    final into the action pool, as renaming them one by one would spend.
+    """
+    n = len(bounds.actions)
+    stamps = set(bounds.timestamps)
+    local: dict[TypedTemporalGraph, tuple | None] = {}
+    best: dict[tuple, tuple[tuple, _Class]] = {}
+    for seq in pool:
         f = seq.final
-        if f not in finals:
-            finals[f] = seq
-    out: dict[frozenset[ActionId], list[tuple[TypedTemporalGraph, ActionId, ExecutionSequence]]] = {}
-    seen: set[tuple[TypedTemporalGraph, ActionId]] = set()
-    shapes: set[tuple] = set()
-    for f, rep in finals.items():
-        k = len(f.nodes)
-        if k > len(bounds.actions) - 1:
-            continue  # no room left for a host node
-        if not set(f.t.values()) <= ts_pool or not set(f.tau.values()) <= bounds.types:
-            continue
-        src = sorted(f.nodes)
-        zero_in = [n for n in src if f.in_degree(n) == 0]
-        if not zero_in:
-            continue
-        shape = _shape(f, src)
-        if shape in shapes:
-            budget.spend(math.perm(len(bounds.actions), k))
-            continue
-        shapes.add(shape)
-        for ids in combinations(bounds.actions, k):
-            for perm in permutations(ids):
-                budget.spend()
-                mapping = dict(zip(src, perm))
-                f2 = _rename_graph(f, mapping)
-                rep2: ExecutionSequence | None = None
-                for q in zero_in:
-                    key = (f2, mapping[q])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if rep2 is None:
-                        rep2 = _rename_chain(rep, mapping)
-                    out.setdefault(f2.nodes, []).append((f2, mapping[q], rep2))
-    return out
+        if f not in local:
+            local[f] = None
+            k = len(f.nodes)
+            if k < n and set(f.t.values()) <= stamps and set(f.tau.values()) <= bounds.types:
+                src = tuple(sorted(f.nodes, key=attrgetter("value")))
+                index = {node: j for j, node in enumerate(src)}
+                cols = tuple((f.t[node], f.tau[node], f.payloads[node]) for node in src)
+                edges = tuple((index[a], index[b]) for a, b in f.edges)
+                zero_in = tuple(sorted(set(range(k)) - {b for _a, b in edges}))
+                if zero_in:
+                    form, hits = _least(cols, edges, range(k))
+                    local[f] = ((*form, f.type_set), _Class(seq, src, cols, edges, f.type_set, zero_in, _automorphisms(hits)))
+                    budget.spend(math.perm(n, k))
+        if local[f] is not None:
+            key, c = local[f]
+            sort_key = _seq_sort_key(seq)
+            if key not in best or sort_key < best[key][0]:
+                best[key] = (sort_key, c._replace(rep=seq))
+    return [c for _sort_key, c in sorted(best.values(), key=itemgetter(0))]
 
 
-def _emission_successors(
-    g: TypedTemporalGraph,
-    bounds: UniverseBounds,
-    budget: _Budget,
-) -> list[tuple[StepLabel, TypedTemporalGraph]]:
-    out: list[tuple[StepLabel, TypedTemporalGraph]] = []
-    avail = sorted(set(bounds.actions) - g.nodes)
-    if not avail:
-        return out
-    types_sorted = sorted(bounds.types)
-    cap = min(bounds.emit_cap, len(avail))
-    for p in sorted(g.nodes):
-        options = [(ts, ty) for ts in bounds.timestamps if g.t[p] < ts for ty in types_sorted]
-        if not options:
-            continue
-        for k in range(1, cap + 1):
-            for chosen in combinations(avail, k):
-                for assignment in product(options, repeat=k):
-                    budget.spend()
-                    new = dict(zip(chosen, assignment))
-                    g2 = apply_emission(g, p, new)
-                    out.append((Emission(p, frozenset(chosen)), g2))
-    return out
+class _Orbit:
+    """One orbit of bounded sequences under renaming of action ids, by its representative.
+
+    `cols`, `edges` and `type_set` are the representative's final graph on
+    the nodes `0..k-1`. `parent` is the orbit of its prefix (None for a root
+    alone) and `step` its last label, `("E", p, new)` or
+    `("I", p, q, class, iso)` with `iso[j]` the node that the class's
+    `src[j]` became. `aut` lists the automorphisms of the whole chain,
+    identity first; `form` and `orders` are the final graph's canonical form
+    and least orderings.
+    """
+
+    __slots__ = ("parent", "k", "cols", "edges", "type_set", "step", "aut", "form", "orders")
+
+    def __init__(self, parent, cols, edges, type_set, step, aut) -> None:
+        self.parent, self.k, self.cols, self.edges = parent, len(cols), cols, edges
+        self.type_set, self.step, self.aut = type_set, step, aut
+        form, self.orders = _least(cols, edges, range(len(cols)))
+        self.form = (*form, type_set)
 
 
-def _invocation_successors(
-    g: TypedTemporalGraph,
-    candidates: Mapping[frozenset[ActionId], list[tuple[TypedTemporalGraph, ActionId, ExecutionSequence]]],
-    budget: _Budget,
-) -> list[tuple[StepLabel, TypedTemporalGraph]]:
-    out: list[tuple[StepLabel, TypedTemporalGraph]] = []
-    for idset in sorted(candidates, key=sorted):
-        if idset & g.nodes:
-            continue
-        for h, q, rep in candidates[idset]:
-            for p in sorted(g.nodes):
-                if g.t[p] < h.t[q]:
-                    budget.spend()
-                    g2 = graft(g, p, h, q)
-                    out.append((Invocation(root=p, subtrace=rep, attach=q), g2))
+def _grow(s: _Orbit, bounds: UniverseBounds, classes: list[_Class]) -> list[_Orbit]:
+    """The orbits of one-step extensions of `s`, each once.
+
+    Fresh ids are interchangeable, so an emission takes the next free nodes
+    with one multiset of columns, and a graft the next free nodes in the
+    class's order. Emissions come first, then grafts class by class, so
+    where several moves build the same sequence the first one labels the
+    step. Two extensions are renamings of each other exactly when an
+    automorphism of `s` and an ordering of equally labelled new nodes carry
+    one onto the other, which `_least` decides.
+    """
+    k = s.k
+    free = len(bounds.actions) - k
+    moves = []
+    for p in range(k):
+        options = [(ts, ty, b"") for ts in bounds.timestamps if s.cols[p][0] < ts for ty in sorted(bounds.types)]
+        for j in range(1, min(bounds.emit_cap, free) + 1):
+            new = tuple(range(k, k + j))
+            for chosen in combinations_with_replacement(options, j):
+                moves.append((chosen, tuple((p, x) for x in new), {col[1] for col in chosen}, ("E", p, new)))
+    for c in classes:
+        if len(c.src) <= free:
+            inner = tuple((k + a, k + b) for a, b in c.edges)
+            iso = tuple(range(k, k + len(c.src)))
+            for z in c.zero_in:
+                for p in range(k):
+                    if s.cols[p][0] < c.cols[z][0]:
+                        moves.append((c.cols, inner + ((p, k + z),), c.type_set, ("I", p, k + z, c, iso)))
+    out: dict[tuple, _Orbit] = {}
+    for new_cols, new_edges, types, step in moves:
+        cols, edges, type_set = s.cols + new_cols, s.edges + new_edges, s.type_set | types
+        form, hits = _least(cols, edges, range(k, len(cols)), s.aut)
+        if (form, type_set) not in out:
+            out[form, type_set] = _Orbit(s, cols, edges, type_set, step, _automorphisms(hits))
+    return list(out.values())
+
+
+def _move_count(s: _Orbit, bounds: UniverseBounds, classes: list[_Class]) -> int:
+    """How many moves a step-by-step enumeration tries from the final graph of `s`.
+
+    That is every emission (parent, chosen ids, a column per id) and every
+    graft (candidate, attach node, host node), repeats included. A class has
+    `kc! / |aut|` distinct candidates on each set of `kc` free ids.
+    """
+    free = len(bounds.actions) - s.k
+    times = [col[0].micros for col in s.cols]
+    total = 0
+    for tp in times:
+        options = len(bounds.types) * sum(tp < ts.micros for ts in bounds.timestamps)
+        total += sum(math.comb(free, j) * options**j for j in range(1, min(bounds.emit_cap, free) + 1))
+    for c in classes:
+        per_set = math.comb(free, len(c.src)) * math.factorial(len(c.src)) // len(c.aut)
+        total += per_set * sum(tp < c.cols[z][0].micros for z in c.zero_in for tp in times)
+    return total
+
+
+def _permuters(perms: Iterable[Sequence[int]]) -> list:
+    """One callable per `p` in `perms` that rearranges a tuple `m` into `tuple(m[x] for x in p)`."""
+    return [itemgetter(*p) if len(p) > 1 else (lambda m, x=p[0]: (m[x],)) for p in perms]
+
+
+def _members(orbits: list[_Orbit], bounds: UniverseBounds) -> list[ExecutionSequence]:
+    """Every member of every orbit, each distinct graph and step label built once.
+
+    A member renames node `x` of the representative to `actions[m[x]]` for
+    an injective image `m`. Images that differ by an automorphism give the
+    same member, so only the least is kept, and a member's prefix is the
+    parent orbit's member at the least image of `m[:k]`. A graph is keyed by
+    its form and its ids in the form's order, least over the form's
+    orderings. A graft's subtrace is the class's `rep` renamed by the least
+    id tuple that carries its final onto the candidate: the renaming that an
+    enumeration of renamings in order meets first.
+    """
+    actions = bounds.actions
+    graphs: dict[tuple, dict[tuple[int, ...], TypedTemporalGraph]] = {}
+    labels: dict[tuple, StepLabel] = {}
+    subtraces: dict[tuple, ExecutionSequence] = {}
+    members: dict[_Orbit, dict[tuple[int, ...], ExecutionSequence] | None] = {}
+    parents = {s.parent for s in orbits}
+    out = []
+    for s in orbits:
+        graphs_of = graphs.setdefault(s.form, {})
+        orders, others = _permuters(s.orders), _permuters(s.aut)[1:]
+        cols = [s.cols[x] for x in s.orders[0]]
+        if s.parent is not None:
+            k0, others0, prefixes = s.parent.k, _permuters(s.parent.aut)[1:], members[s.parent]
+            if s.step[0] == "E":
+                get, c = itemgetter(s.step[1], *s.step[2]), None
+            else:
+                _kind, p, q, c, iso = s.step
+                get, firsts = itemgetter(p, q), _permuters([tuple(iso[j] for j in a) for a in c.aut])
+        kept = members[s] = {} if s in parents else None
+        for m in permutations(range(len(actions)), s.k):
+            if others and not all(m <= a(m) for a in others):
+                continue
+            image = orders[0](m) if len(orders) == 1 else min(order(m) for order in orders)
+            g = graphs_of.get(image)
+            if g is None:
+                ids = [actions[i] for i in image]
+                g = graphs_of[image] = TypedTemporalGraph._unchecked(
+                    frozenset(ids),
+                    frozenset((ids[a], ids[b]) for a, b in s.form[1]),
+                    {n: col[0] for n, col in zip(ids, cols)},
+                    {n: col[1] for n, col in zip(ids, cols)},
+                    s.type_set,
+                    {n: col[2] for n, col in zip(ids, cols)},
+                )
+            if s.parent is None:
+                seq = ExecutionSequence._chain((g,), ())
+            else:
+                m0 = m[:k0]
+                if others0:
+                    m0 = min(m0, *(a(m0) for a in others0))
+                if c is None:
+                    key = get(m)
+                else:
+                    first = min(f(m) for f in firsts)
+                    key = (c.rep, *get(m), first)
+                label = labels.get(key)
+                if label is None and c is None:
+                    label = labels[key] = Emission(actions[key[0]], frozenset(actions[x] for x in key[1:]))
+                elif label is None:
+                    sub = subtraces.get((c.rep, first))
+                    if sub is None:
+                        sub = subtraces[c.rep, first] = _rename_chain(c.rep, dict(zip(c.src, (actions[i] for i in first))))
+                    label = labels[key] = Invocation(root=actions[key[1]], subtrace=sub, attach=actions[key[2]])
+                prefix = prefixes[m0]
+                seq = ExecutionSequence._chain(prefix.graphs + (g,), prefix.steps + (label,))
+            if kept is not None:
+                kept[m] = seq
+            out.append(seq)
     return out
 
 
@@ -655,46 +784,48 @@ def phi(
     the pools and grows, one step at a time, by a direct emission or by
     grafting the (injectively renamed) final graph of a sequence in `pool`.
     `phi(frozenset(), bounds)` is therefore the emission-only level, and
-    iterating yields the depth hierarchy.
+    iterating yields the depth hierarchy. Each step is labelled by the
+    emission that builds it when there is one, and otherwise by a graft from
+    the first candidate class that builds it, classes ordered by their least
+    pool sequence (`_seq_sort_key`). The graft's subtrace is that least
+    sequence, renamed by the first injective renaming, in order of the ids
+    it assigns, that carries its final onto the grafted graph.
 
     The operator is monotone in `pool` by construction: a larger pool only
-    adds graft candidates. Pool finals are renamed into the action pool once
-    per isomorphism class, since isomorphic finals yield the same renamed
-    candidates. `budget`, when given, caps the number of explored extensions
-    and raises BudgetExceededError once exhausted; it counts every renaming
-    of every usable pool final, those of skipped isomorphic finals included,
-    so it is exhausted at exactly the same point as without the skipping.
+    adds graft candidates. Renaming action ids maps the result onto itself,
+    so it is enumerated one orbit at a time: pool finals are grouped by
+    isomorphism class, one representative sequence per orbit is grown, and
+    each orbit is expanded into its members at the end.
+
+    `budget`, when given, caps the work in the moves that a step-by-step
+    enumeration of the level makes (`reference_phi` in the test suite): one
+    unit per injective renaming of each distinct usable pool final, one per
+    move tried from each sequence shorter than `max_len`, and one more per
+    move tried from each distinct final graph of those sequences. Those
+    counts do not change under renaming, so they are charged per orbit, as
+    orbit size times one member's count, and BudgetExceededError is raised
+    before any member is built, at exactly the budgets at which the
+    step-by-step enumeration gives up.
     """
     tracker = _Budget(budget)
-    candidates = _graft_candidates(pool, bounds, tracker)
-
-    result: set[ExecutionSequence] = set()
-    frontier: list[ExecutionSequence] = []
-    for g0 in _trivial_graphs(bounds):
-        s = ExecutionSequence((g0,), ())
-        result.add(s)
-        frontier.append(s)
-
-    succ_cache: dict[TypedTemporalGraph, list[tuple[StepLabel, TypedTemporalGraph]]] = {}
+    classes = _graft_classes(pool, bounds, tracker)
+    n = len(bounds.actions)
+    frontier = [_Orbit(None, ((ts, ty, b""),), (), bounds.types, None, [(0,)]) for ts in bounds.timestamps for ty in sorted(bounds.types)]
+    orbits = list(frontier)
+    graph_forms: set[tuple] = set()
     for _ in range(bounds.max_len - 1):
-        nxt: list[ExecutionSequence] = []
+        nxt: list[_Orbit] = []
         for s in frontier:
-            g = s.final
-            succ = succ_cache.get(g)
-            if succ is None:
-                succ = _emission_successors(g, bounds, tracker)
-                succ.extend(_invocation_successors(g, candidates, tracker))
-                succ_cache[g] = succ
-            for label, g2 in succ:
-                tracker.spend()
-                s2 = s._extend(g2, label)
-                if s2 not in result:
-                    result.add(s2)
-                    nxt.append(s2)
-        if not nxt:
-            break
+            moves = _move_count(s, bounds, classes)
+            if moves:
+                tracker.spend(math.perm(n, s.k) // len(s.aut) * moves)
+                if s.form not in graph_forms:
+                    graph_forms.add(s.form)
+                    tracker.spend(math.perm(n, s.k) // len(s.orders) * moves)
+                nxt.extend(_grow(s, bounds, classes))
+        orbits.extend(nxt)
         frontier = nxt
-    return frozenset(result)
+    return frozenset(_members(orbits, bounds))
 
 
 def hierarchy(
@@ -705,8 +836,10 @@ def hierarchy(
 ) -> list[frozenset[ExecutionSequence]]:
     """Iterate `phi` from the empty pool: levels 0 through `d_max` inclusive.
 
-    The returned list ascends under set inclusion; the budget applies to
-    each level separately.
+    The returned list ascends under set inclusion. Each level is enumerated
+    one orbit under renaming of action ids at a time (see `phi`); the budget
+    applies to each level separately and counts, as before, the moves of a
+    step-by-step enumeration of that level.
     """
     if d_max < 0:
         raise ValueError("d_max must be non-negative")

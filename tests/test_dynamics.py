@@ -15,11 +15,16 @@ Covered claims:
       prefixes
     - within finite bounds, the hierarchy ascends, is strict at depth one,
       stabilises at depth one, and its stable set is the least fixed point,
-      matching an independently written closure enumeration
+      matching an independently written closure enumeration; at five actions
+      all four oracle assertions hold, and with one node per emission depth
+      two outgrows depth one
     - the oracle's levels and step labels at the CLI defaults and at a
       two-type bound are pinned by sha256 goldens, and `phi` agrees with the
       reference implementation in `util` on results, labels and the exact
       budget at which it gives up
+    - for `phi` and the reference alike, a level is closed under renaming
+      action ids and a step label is a function of its two graphs, which is
+      what enumerating by orbit rests on
 """
 
 import hashlib
@@ -73,6 +78,7 @@ from util import (
     random_cteg,
     reference_e0_normalize,
     reference_phi,
+    reference_rename_chain,
     ts,
     ty,
 )
@@ -640,6 +646,35 @@ class TestHierarchyAtDeskScale:
         levels = hierarchy(b, 0)
         assert len(levels) == 1
 
+    def test_five_actions_pass_every_assertion(self):
+        # the `cteg oracle --actions 5` bounds; two levels alive at a time
+        b = _oracle_bounds(5, 4, 3)
+        e0 = phi(frozenset(), b)
+        e1 = phi(e0, b)
+        assert (len(e0), len(e1)) == (18_790, 33_810)
+        assert e0 <= e1 and e0 != e1
+        del e0
+        e2 = phi(e1, b)
+        assert e1 == e2
+        del e1
+        assert phi(e2, b) == e2
+
+    def test_depth_two_outgrows_depth_one_when_batches_are_capped(self):
+        # With one node per emission, a two-step sequence can end in a
+        # four-node tree (a root with a graft of a two-node chain and one
+        # emission) that no emission-only sequence ends in. Depth two grafts
+        # that tree in one step; depth one cannot. The sizes agree with
+        # `util.reference_phi`, which takes about 20 s, so it is not rerun here.
+        b = bounds_of(5, 4, 3, max_step_emit=1)
+        e0, e1, e2 = hierarchy(b, 2)
+        assert (len(e0), len(e1), len(e2)) == (1220, 11_000, 11_300)
+        assert e1 < e2
+        e0_finals = {s.final for s in e0}
+        for s in e2 - e1:
+            assert len(s.graphs) == 2 and isinstance(s.steps[0], Invocation)
+            grafted = s.steps[0].subtrace.final
+            assert len(grafted.nodes) == 4 and grafted not in e0_finals
+
 
 class TestOpacity:
     @pytest.mark.parametrize("seed", range(5))
@@ -729,6 +764,51 @@ small_bounds = st.builds(
     n_types=st.integers(1, 2),
     max_step_emit=st.one_of(st.none(), st.integers(1, 2)),
 ).filter(lambda b: not (len(b.actions) == 4 and len(b.types) == 2 and b.max_len == 3))
+
+
+def pool_of(b: UniverseBounds, depth: int, rng: random.Random) -> frozenset:
+    """Level `depth` of the hierarchy plus junk, loose and out-of-bounds sequences."""
+    lower: frozenset = frozenset()
+    for _ in range(depth):
+        lower = phi(lower, b)
+    extra = [junk_sequence(b.actions, b.timestamps, tuple(sorted(b.types)))]
+    extra += [loose_final(b, rng) for _ in range(rng.randint(0, 3))]
+    extra += [out_of_bounds_final(b, rng) for _ in range(rng.randint(0, 2))]
+    return lower | frozenset(extra)
+
+
+class TestLevelSymmetry:
+    """What enumerating by orbit rests on, checked on `phi` and on the reference alike."""
+
+    @pytest.mark.parametrize("oracle", [phi, reference_phi], ids=["phi", "reference"])
+    @settings(max_examples=8, deadline=None)
+    @given(b=small_bounds, depth=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_a_level_is_closed_under_renaming_actions(self, oracle, b, depth, seed):
+        rng = random.Random(seed)
+        level = oracle(pool_of(b, depth, rng), b)
+        ids = list(b.actions)
+        rng.shuffle(ids)
+        renaming = dict(zip(b.actions, ids))
+        assert {reference_rename_chain(s, renaming) for s in level} == level
+
+    @pytest.mark.parametrize("oracle", [phi, reference_phi], ids=["phi", "reference"])
+    @settings(max_examples=8, deadline=None)
+    @given(b=small_bounds, depth=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_a_step_label_is_a_function_of_its_two_graphs(self, oracle, b, depth, seed):
+        level = oracle(pool_of(b, depth, random.Random(seed)), b)
+        labels = {}
+        for s in level:
+            for pair, label in zip(zip(s.graphs, s.graphs[1:]), s.steps):
+                assert labels.setdefault(pair, label) == label
+
+    @settings(max_examples=8, deadline=None)
+    @given(b=small_bounds, depth=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_every_graph_passes_the_checked_constructor(self, b, depth, seed):
+        # expansion builds graphs and subtraces unchecked, as renamings of checked ones
+        level = phi(pool_of(b, depth, random.Random(seed)), b)
+        subtraces = [x.subtrace for s in level for x in s.steps if isinstance(x, Invocation)]
+        for g in {g for s in [*level, *subtraces] for g in s.graphs}:
+            assert TypedTemporalGraph(g.nodes, g.edges, g.t, g.tau, g.type_set, g.payloads) == g
 
 
 class TestPhiMatchesReference:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import struct
 from itertools import combinations, permutations, product
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Mapping
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -22,22 +22,15 @@ from cteg import (
     Emission,
     EventType,
     ExecutionSequence,
+    Invocation,
     Timestamp,
     TypedTemporalGraph,
     UniverseBounds,
     apply_emission,
     temporal_projection,
 )
-from cteg.dynamics import (
-    StepLabel,
-    _Budget,
-    _emission_successors,
-    _invocation_successors,
-    _rename_chain,
-    _rename_graph,
-    _seq_sort_key,
-    _trivial_graphs,
-)
+from cteg.core import graft
+from cteg.dynamics import StepLabel, _Budget, _seq_sort_key
 from cteg.persistence import graph_text
 
 
@@ -307,9 +300,78 @@ def junk_sequence(ids: tuple, stamps: tuple, types: tuple) -> ExecutionSequence:
 
 # ---------------------------------------------------------------------------
 # Reference oracle: `phi` as it was before graft candidates were deduplicated
-# by isomorphism class. It renames every distinct final of the pool under
-# every injective map and re-checks every pair of each new sequence, so it
-# is the slow ground truth for the fast path's results, labels and budget.
+# by isomorphism class and sequences enumerated by orbit. It renames every
+# distinct final of the pool under every injective map, tries every move
+# from every sequence one at a time and re-checks every pair of each new
+# sequence, so it is the slow ground truth for the fast path's results,
+# labels and budget.
+
+
+def reference_rename_graph(g: TypedTemporalGraph, m) -> TypedTemporalGraph:
+    return TypedTemporalGraph(
+        nodes=frozenset(m[n] for n in g.nodes),
+        edges=frozenset((m[a], m[b]) for a, b in g.edges),
+        t={m[n]: ts for n, ts in g.t.items()},
+        tau={m[n]: ty for n, ty in g.tau.items()},
+        type_set=g.type_set,
+        payloads={m[n]: pl for n, pl in g.payloads.items()},
+    )
+
+
+def reference_rename_chain(seq: ExecutionSequence, m) -> ExecutionSequence:
+    return ExecutionSequence._chain(tuple(reference_rename_graph(g, m) for g in seq.graphs), None)
+
+
+def reference_trivial_graphs(bounds: UniverseBounds) -> list[TypedTemporalGraph]:
+    return [
+        TypedTemporalGraph.trivial(a, ts, ty, type_set=bounds.types)
+        for a in bounds.actions
+        for ts in bounds.timestamps
+        for ty in sorted(bounds.types)
+    ]
+
+
+def reference_emission_successors(
+    g: TypedTemporalGraph,
+    bounds: UniverseBounds,
+    budget: _Budget,
+) -> list[tuple[StepLabel, TypedTemporalGraph]]:
+    out: list[tuple[StepLabel, TypedTemporalGraph]] = []
+    avail = sorted(set(bounds.actions) - g.nodes)
+    if not avail:
+        return out
+    types_sorted = sorted(bounds.types)
+    cap = min(bounds.emit_cap, len(avail))
+    for p in sorted(g.nodes):
+        options = [(ts, ty) for ts in bounds.timestamps if g.t[p] < ts for ty in types_sorted]
+        if not options:
+            continue
+        for k in range(1, cap + 1):
+            for chosen in combinations(avail, k):
+                for assignment in product(options, repeat=k):
+                    budget.spend()
+                    new = dict(zip(chosen, assignment))
+                    g2 = apply_emission(g, p, new)
+                    out.append((Emission(p, frozenset(chosen)), g2))
+    return out
+
+
+def reference_invocation_successors(
+    g: TypedTemporalGraph,
+    candidates: Mapping[frozenset[ActionId], list[tuple[TypedTemporalGraph, ActionId, ExecutionSequence]]],
+    budget: _Budget,
+) -> list[tuple[StepLabel, TypedTemporalGraph]]:
+    out: list[tuple[StepLabel, TypedTemporalGraph]] = []
+    for idset in sorted(candidates, key=sorted):
+        if idset & g.nodes:
+            continue
+        for h, q, rep in candidates[idset]:
+            for p in sorted(g.nodes):
+                if g.t[p] < h.t[q]:
+                    budget.spend()
+                    g2 = graft(g, p, h, q)
+                    out.append((Invocation(root=p, subtrace=rep, attach=q), g2))
+    return out
 
 
 def reference_graft_candidates(
@@ -339,7 +401,7 @@ def reference_graft_candidates(
             for perm in permutations(ids):
                 budget.spend()
                 mapping = dict(zip(src, perm))
-                f2 = _rename_graph(f, mapping)
+                f2 = reference_rename_graph(f, mapping)
                 rep2: ExecutionSequence | None = None
                 for q in zero_in:
                     key = (f2, mapping[q])
@@ -347,7 +409,7 @@ def reference_graft_candidates(
                         continue
                     seen.add(key)
                     if rep2 is None:
-                        rep2 = _rename_chain(rep, mapping)
+                        rep2 = reference_rename_chain(rep, mapping)
                     out.setdefault(f2.nodes, []).append((f2, mapping[q], rep2))
     return out
 
@@ -363,7 +425,7 @@ def reference_phi(
 
     result: set[ExecutionSequence] = set()
     frontier: list[ExecutionSequence] = []
-    for g0 in _trivial_graphs(bounds):
+    for g0 in reference_trivial_graphs(bounds):
         s = ExecutionSequence((g0,), ())
         result.add(s)
         frontier.append(s)
@@ -375,8 +437,8 @@ def reference_phi(
             g = s.final
             succ = succ_cache.get(g)
             if succ is None:
-                succ = _emission_successors(g, bounds, tracker)
-                succ.extend(_invocation_successors(g, candidates, tracker))
+                succ = reference_emission_successors(g, bounds, tracker)
+                succ.extend(reference_invocation_successors(g, candidates, tracker))
                 succ_cache[g] = succ
             assert s.steps is not None
             for label, g2 in succ:
