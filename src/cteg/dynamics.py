@@ -143,10 +143,9 @@ class ExecutionSequence:
 
     The constructor proves extension pair by pair. Chains the library builds
     go through `_chain` and skip that proof, as they extend by construction:
-    prefixes of one append-only row list (`Session.history`, `e0_normalize`),
-    an injectively renamed checked chain (`phi`'s members and graft
-    subtraces), and a checked chain plus one graph, whose one new pair
-    `_extend` still checks.
+    prefixes of one append-only row list (`Session.history`, `e0_normalize`)
+    and an injectively renamed checked chain (`phi`'s members and graft
+    subtraces).
     """
 
     graphs: tuple[TypedTemporalGraph, ...]
@@ -182,17 +181,6 @@ class ExecutionSequence:
     def _prefixes(cls, rows: Sequence[Row], marks: Iterable[int], steps: tuple[StepLabel, ...], type_set=None):
         """The chain of `graph_from_rows(rows[:m], type_set)` for each mark `m`; each extends the last."""
         return cls._chain(tuple(graph_from_rows(islice(rows, m), type_set) for m in marks), steps)
-
-    def _extend(self, g2: TypedTemporalGraph, label: StepLabel) -> "ExecutionSequence":
-        """This labelled sequence followed by `g2`, checking only the new pair.
-
-        Every earlier pair was checked when this sequence was built, and the
-        sequence is immutable, so only `final` against `g2` is left to prove.
-        """
-        if not self.final.is_subgraph_of(g2):
-            raise ValueError("each graph must extend the previous one")
-        assert self.steps is not None
-        return ExecutionSequence._chain(self.graphs + (g2,), self.steps + (label,))
 
     @property
     def final(self) -> TypedTemporalGraph:

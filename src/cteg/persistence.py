@@ -2,19 +2,22 @@
 
 A trace persists as rows of a node table: node id, session id, optional
 parent pointer, timestamp, event type and an opaque payload. The stores are
-append-only by design. Each session's rows live in a `core.NodeTable`, the
-same table a live session keeps, so the store checks only what is its own
-(registered session, payload cap) and the table checks the row (parent
-already present, fresh id, strictly increasing timestamp, single root).
-Every per-session reconstruction is thus a valid CTEG at all times,
-including after a crash that truncated the log.
+append-only by design, and their write unit is a batch of one session's
+rows: `append_node` appends a batch of one, `append_trace` a whole trace.
+Each session's rows live in a `core.NodeTable`, the same table a live
+session keeps, so the store checks only what is its own (registered
+session, payload cap) and the table checks the batch (parents present,
+fresh ids, strictly increasing timestamps, single root). A batch is
+admitted whole or not at all, so every per-session reconstruction is a
+valid CTEG at all times, including after a crash that truncated the log.
 
 `MemoryStore` keeps the tables in memory; `FileStore` is a `MemoryStore`
-that also writes each validated change to a single-file append log before
+that also writes each checked change to a single-file append log before
 admitting it. The file layout is a `CTEGSTORE1` magic header followed by
-length-prefixed little-endian binary records; a torn trailing record is
-cut off on open, and a file cut short inside its header is a new log,
-while any complete but inconsistent record is reported as corruption.
+length-prefixed little-endian binary records, one per registration or
+node row; a torn trailing record is cut off on open, and a file cut short
+inside its header is a new log, while any complete but malformed or
+inconsistent record is reported as corruption.
 
 The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
@@ -29,8 +32,10 @@ import base64
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from threading import RLock
+from typing import Sequence
 
 from .core import (
     ActionId,
@@ -115,16 +120,13 @@ class NodeRecord:
     payload: bytes = b""
 
 
-# A validated row: its session's table, the row as a batch and the batch's `{node: ts}`.
-_Checked = tuple[NodeTable, tuple[Row], dict[ActionId, Timestamp]]
-
-
 class MemoryStore:
     """Append-only in-memory store: one node table per registered session.
 
     The interface deliberately offers no update or delete: the only ways to
-    change a store are registering a session and appending a node row. Each
-    change is validated, handed to the `_write` hook, then admitted.
+    change a store are registering a session and appending a batch of node
+    rows. A batch is checked whole, handed to the `_write` hook, then
+    admitted whole; a batch that fails anywhere changes nothing.
     """
 
     def __init__(self, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -136,49 +138,41 @@ class MemoryStore:
         """Record a session id (minting a fresh one when none is given)."""
         with self._lock:
             sid = session_id if session_id is not None else SessionId.fresh()
-            self._append(sid)
+            if sid in self._tables:
+                raise DuplicateSessionError(f"session {sid.hex} is already registered")
+            self._write(sid, None)
+            self._tables[sid] = NodeTable()
             return sid
 
     def append_node(self, rec: NodeRecord) -> None:
-        """Validate and append one node row; its payload must fit the cap."""
+        """Append one node row as a batch of one; its payload must fit the cap."""
+        self._append_rows(rec.session_id, ((rec.node_id, rec.parent_id, rec.timestamp, rec.event_type, rec.payload),))
+
+    def _append_rows(self, session_id: SessionId, rows: Sequence[Row]) -> None:
+        """Check a batch of one session's rows, write it, then admit it whole."""
         with self._lock:
             cap = self._payload_cap
-            if len(rec.payload) > cap:
-                raise PayloadTooLargeError(f"payload of {len(rec.payload)} bytes exceeds cap of {cap}")
-            self._append(rec)
-
-    def _append(self, rec: SessionId | NodeRecord) -> None:
-        checked = self._validate(rec)
-        self._write(rec)
-        self._admit(rec, checked)
-
-    def _validate(self, rec: SessionId | NodeRecord) -> _Checked | None:
-        if isinstance(rec, SessionId):
-            if rec in self._tables:
-                raise DuplicateSessionError(f"session {rec.hex} is already registered")
-            return None
-        table = self._tables.get(rec.session_id)
-        if table is None:
-            raise UnknownSessionError(f"session {rec.session_id.hex} is not registered")
-        rows = ((rec.node_id, rec.parent_id, rec.timestamp, rec.event_type, rec.payload),)
-        return table, rows, table.check(rows)
-
-    def _write(self, rec: SessionId | NodeRecord) -> None:
-        """Persist a validated change before it is admitted; memory needs nothing."""
-
-    def _admit(self, rec: SessionId | NodeRecord, checked: _Checked | None) -> None:
-        if checked is None:
-            self._tables[rec] = NodeTable()
-        else:
-            table, rows, new = checked
+            big = next((len(p) for *_, p in rows if len(p) > cap), None)
+            if big is not None:
+                raise PayloadTooLargeError(f"payload of {big} bytes exceeds cap of {cap}")
+            table = self._table(session_id)
+            new = table.check(rows)
+            self._write(session_id, rows)
             table.admit(rows, new)
+
+    def _write(self, session_id: SessionId, rows: Sequence[Row] | None) -> None:
+        """Persist a checked registration (`rows` None) or batch before it is admitted; memory needs nothing."""
+
+    def _table(self, session_id: SessionId) -> NodeTable:
+        table = self._tables.get(session_id)
+        if table is None:
+            raise UnknownSessionError(f"session {session_id.hex} is not registered")
+        return table
 
     def load_session(self, session_id: SessionId) -> Cteg:
         """Reconstruct the session's trace by pointer resolution."""
         with self._lock:
-            table = self._tables.get(session_id)
-            if table is None:
-                raise UnknownSessionError(f"session {session_id.hex} is not registered")
+            table = self._table(session_id)
             if not table.rows:
                 raise EmptySessionError(f"session {session_id.hex} has no rows")
             return table.to_cteg()
@@ -196,79 +190,63 @@ class MemoryStore:
 _MAGIC = b"CTEGSTORE1"
 _KIND_SESSION = 1
 _KIND_NODE = 2
+_U32 = struct.Struct("<I")
+# Node record bodies up to the type name: kind, node, session, parent flag, [parent,] micros, type length.
+_ROOT_HEAD = struct.Struct("<B16s16sBqH")
+_CHILD_HEAD = struct.Struct("<B16s16sB16sqH")
 
 
-def _encode_record(rec: SessionId | NodeRecord) -> bytes:
-    if isinstance(rec, SessionId):
-        body = bytes([_KIND_SESSION]) + rec.value
-    else:
-        name = rec.event_type.name.encode("utf-8")
-        parent = b"\x01" + rec.parent_id.value if rec.parent_id is not None else b"\x00"
-        ids = bytes([_KIND_NODE]) + rec.node_id.value + rec.session_id.value + parent
-        sizes = struct.pack("<qH", rec.timestamp.micros, len(name))
-        body = b"".join((ids, sizes, name, struct.pack("<I", len(rec.payload)), rec.payload))
-    return struct.pack("<I", len(body)) + body
+def _encode_rows(session_id: SessionId, rows: Sequence[Row]) -> bytearray:
+    """One v1 node record per row, concatenated."""
+    out = bytearray()
+    sid = session_id.value
+    for node, parent, ts, event_type, payload in rows:
+        name = event_type.name.encode("utf-8")
+        if parent is None:
+            head = _ROOT_HEAD.pack(_KIND_NODE, node.value, sid, 0, ts.micros, len(name))
+        else:
+            head = _CHILD_HEAD.pack(_KIND_NODE, node.value, sid, 1, parent.value, ts.micros, len(name))
+        out += _U32.pack(len(head) + len(name) + 4 + len(payload))
+        out += head
+        out += name
+        out += _U32.pack(len(payload))
+        out += payload
+    return out
 
 
-def _decode_record(body: bytes) -> SessionId | NodeRecord:
-    if not body:
-        raise CorruptStoreError("empty record body")
-    kind = body[0]
-    view = memoryview(body)[1:]
-    if kind == _KIND_SESSION:
-        if len(view) != 16:
-            raise CorruptStoreError("session record has the wrong length")
-        return SessionId(bytes(view))
-    if kind != _KIND_NODE:
-        raise CorruptStoreError(f"unknown record kind {kind}")
+@lru_cache(maxsize=256)
+def _event_type(name: bytes) -> EventType:
+    """Replayed rows share one checked `EventType` per name; a log holds few of them."""
+    return EventType(name.decode("utf-8"))
+
+
+def _decode_record(body: bytes) -> SessionId | tuple[SessionId, Row]:
+    """A session registration or a session's node row; any malformed body is corruption."""
     try:
-        node_id = ActionId(bytes(view[:16]))
-        session_id = SessionId(bytes(view[16:32]))
-        offset = 32
-        flag = view[offset]
-        offset += 1
-        parent: ActionId | None = None
-        if flag == 1:
-            parent = ActionId(bytes(view[offset : offset + 16]))
-            offset += 16
-        elif flag != 0:
+        kind = body[0]
+        if kind == _KIND_SESSION:
+            if len(body) != 17:
+                raise CorruptStoreError("session record has the wrong length")
+            return SessionId(body[1:])
+        if kind != _KIND_NODE:
+            raise CorruptStoreError(f"unknown record kind {kind}")
+        flag = body[33]  # after the kind, node id and session id
+        if flag == 0:
+            _, node, sid, _, micros, type_len = _ROOT_HEAD.unpack_from(body)
+            parent, offset = None, _ROOT_HEAD.size
+        elif flag == 1:
+            _, node, sid, _, parent_id, micros, type_len = _CHILD_HEAD.unpack_from(body)
+            parent, offset = ActionId(parent_id), _CHILD_HEAD.size
+        else:
             raise CorruptStoreError(f"bad parent flag {flag}")
-        (micros,) = struct.unpack_from("<q", view, offset)
-        offset += 8
-        (type_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        type_name = bytes(view[offset : offset + type_len]).decode("utf-8")
-        if len(type_name.encode("utf-8")) != type_len:
-            raise CorruptStoreError("truncated event type")
-        offset += type_len
-        (payload_len,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        payload = bytes(view[offset : offset + payload_len])
-        if len(payload) != payload_len or offset + payload_len != len(view):
+        end = offset + type_len
+        (payload_len,) = _U32.unpack_from(body, end)
+        payload = body[end + 4 :]
+        if len(payload) != payload_len:
             raise CorruptStoreError("node record length mismatch")
-        return NodeRecord(
-            node_id=node_id,
-            session_id=session_id,
-            parent_id=parent,
-            timestamp=Timestamp(micros),
-            event_type=EventType(type_name),
-            payload=payload,
-        )
-    except CorruptStoreError:
-        raise
-    except (ValueError, struct.error) as exc:
-        raise CorruptStoreError(f"malformed node record: {exc}") from exc
-
-
-def _iter_complete_records(data: bytes, offset: int):
-    """Yield each record from `offset` on with the offset just past it; stop at a torn tail."""
-    while offset + 4 <= len(data):
-        (length,) = struct.unpack_from("<I", data, offset)
-        end = offset + 4 + length
-        if end > len(data):
-            return
-        yield _decode_record(data[offset + 4 : end]), end
-        offset = end
+        return SessionId(sid), (ActionId(node), parent, Timestamp(micros), _event_type(body[offset:end]), payload)
+    except (IndexError, ValueError, struct.error) as exc:
+        raise CorruptStoreError(f"malformed record: {exc}") from exc
 
 
 def _open_log(path: Path):
@@ -279,17 +257,19 @@ def _open_log(path: Path):
 class FileStore(MemoryStore):
     """Single-file append log behind the in-memory store.
 
-    Opening an existing file replays and re-validates every complete record;
-    semantic violations (which cannot be produced through this interface)
-    therefore surface as corruption, and a torn tail is cut off. The payload
+    Opening an existing file replays every complete record through the same
+    node-table check as an append; semantic violations (which cannot be
+    produced through this interface) therefore surface as corruption, named
+    by record index and byte offset, and a torn tail is cut off. The payload
     cap governs new appends only: replay admits every payload already in the
     log, whatever cap it was written under. A missing file, or one cut short
     inside its header, starts a new log. The store then keeps one unbuffered
-    append handle until `close` (or the end of a `with` block). Each record
-    is written before the store admits it; a failed or short write is rolled
-    back. An append never goes to a log that is no longer linked (removed,
-    or replaced by a rename over it): it reopens the path, and fails while
-    no file is there.
+    append handle until `close` (or the end of a `with` block). A batch of
+    rows is encoded as one node record per row and written with one `write`
+    before the store admits it; a failed or short write is rolled back. An
+    append never goes to a log that is no longer linked (removed, or
+    replaced by a rename over it): it reopens the path, and fails while no
+    file is there.
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -306,18 +286,33 @@ class FileStore(MemoryStore):
     def _replay(self, data: bytes) -> None:
         if data[: len(_MAGIC)] != _MAGIC:
             raise CorruptStoreError("missing store magic header")
-        end = len(_MAGIC)
-        try:
-            for record, end in _iter_complete_records(data, end):
-                self._admit(record, self._validate(record))
-        except StoreError as exc:
-            raise CorruptStoreError(f"replay failed: {exc}") from exc
-        if end < len(data):
+        tables = self._tables
+        index, offset = 0, len(_MAGIC)
+        while offset + 4 <= len(data):
+            end = offset + 4 + _U32.unpack_from(data, offset)[0]
+            if end > len(data):
+                break
+            try:
+                record = _decode_record(data[offset + 4 : end])
+                if isinstance(record, SessionId):
+                    if record in tables:
+                        raise DuplicateSessionError(f"session {record.hex} is already registered")
+                    tables[record] = NodeTable()
+                else:
+                    sid, row = record
+                    self._table(sid).append((row,))
+            except StoreError as exc:
+                raise CorruptStoreError(f"record {index} at byte {offset}: {exc}") from exc
+            index, offset = index + 1, end
+        if offset < len(data):
             with open(self._path, "r+b") as fh:
-                fh.truncate(end)
+                fh.truncate(offset)
 
-    def _write(self, rec: SessionId | NodeRecord) -> None:
-        blob = _encode_record(rec)
+    def _write(self, session_id: SessionId, rows: Sequence[Row] | None) -> None:
+        if rows is None:
+            blob = _U32.pack(17) + bytes([_KIND_SESSION]) + session_id.value
+        else:
+            blob = _encode_rows(session_id, rows)
         held = os.fstat(self._log.fileno())
         if held.st_nlink == 0:
             # The log is no longer linked: an append to it would be lost on reopen.
@@ -345,14 +340,13 @@ class FileStore(MemoryStore):
 
 
 def append_trace(store: MemoryStore, session_id: SessionId, c: Cteg) -> None:
-    """Write a whole trace as rows, parents before children.
+    """Write a whole trace as one batch of rows, parents before children.
 
     Temporal projection order guarantees every parent row precedes its
-    children, so the rows pass the store's incremental checks. The session
-    must already be registered.
+    children, so the batch passes the store's check. The batch is admitted
+    whole or not at all. The session must already be registered.
     """
-    for node, parent, ts, event_type, payload in projection_rows(c):
-        store.append_node(NodeRecord(node, session_id, parent, ts, event_type, payload))
+    store._append_rows(session_id, projection_rows(c))
 
 
 # ---------------------------------------------------------------------------

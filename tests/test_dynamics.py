@@ -469,27 +469,13 @@ class TestUniverseBounds:
 
 
 class TestPhi:
-    def test_extension_checks_the_new_pair(self):
-        s = ExecutionSequence((graph({1: 0}, set()),), ())
-        g2 = graph({1: 0, 2: 1}, {(1, 2)})
-        label = Emission(aid(1), frozenset({aid(2)}))
-        s2 = s._extend(g2, label)
-        assert s2 == ExecutionSequence((s.final, g2), (label,))
-        assert s2.steps == (label,)
-        with pytest.raises(ValueError):
-            s._extend(graph({1: 5, 2: 6}, {(1, 2)}), label)  # node 1 moved in time
-
-    def test_renaming_runs_no_proof_and_extension_runs_one(self):
+    def test_renaming_runs_no_proof(self):
         seq = e0_normalize(random_cteg(random.Random(5), 6))
         renaming = {n: aid(100 + i) for i, n in enumerate(sorted(seq.final.nodes))}
-        (root,) = seq.graphs[0].nodes
-        g2 = apply_emission(seq.final, root, {aid(999): (ts(seq.final.t[root].micros + 1), ty("task"))})
         calls, patch = counting_subgraph_proofs()
         with patch:
             renamed = _rename_chain(seq, renaming)
-            assert calls == []
-            seq._extend(g2, Emission(root, frozenset({aid(999)})))
-        assert calls == [1]
+        assert calls == []
         assert ExecutionSequence(renamed.graphs) == renamed
 
     @pytest.mark.parametrize("n_types,expected", [(1, 4), (3, 12)])

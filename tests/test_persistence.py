@@ -11,6 +11,10 @@ Covered claims:
       that fails, wholly or part-way, leaves nothing admitted or stored
     - the file store appends through one handle, and once closed it
       refuses appends but still answers reads
+    - every malformed complete record, however short, is corruption, and
+      corruption names the record's index and byte offset
+    - `append_trace` is one checked write, admitted whole or not at all,
+      and it writes the bytes that row-by-row appends of the same rows write
     - every store error is a StoreError importable from the persistence
       module, and the row errors are also the session's error classes
     - the trace text format is canonical: export is deterministic, import
@@ -18,8 +22,13 @@ Covered claims:
 """
 
 import random
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cteg import (
     CompatibilityError,
@@ -54,7 +63,7 @@ from cteg.persistence import (
     UnknownSessionError,
     _MAGIC,
 )
-from util import aid, cteg, hexid, random_cteg, record_boundaries, ts, ty
+from util import aid, cteg, ctegs, hexid, random_cteg, record_boundaries, ts, ty
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -251,6 +260,41 @@ class TestFileStore:
         with pytest.raises(CorruptStoreError):
             FileStore(path)
 
+    @pytest.mark.parametrize(
+        "record_index,field_offset,value,reason",
+        [
+            (1, 1 + 16 + 16, b"\x07", "bad parent flag"),  # the root's parent flag
+            (2, 1 + 16 + 16 + 1 + 16, (1).to_bytes(8, "little"), "not above parent"),  # the child's timestamp
+        ],
+        ids=["malformed", "inconsistent"],
+    )
+    def test_corruption_names_the_record_and_its_offset(self, tmp_path, record_index, field_offset, value, reason):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 5))
+            store.append_node(record(sid(1), 11, 10, 6))
+        data = bytearray(path.read_bytes())
+        start = record_boundaries(bytes(data), len(_MAGIC))[record_index]
+        data[start + 4 + field_offset : start + 4 + field_offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptStoreError, match=f"record {record_index} at byte {start}: .*{reason}"):
+            FileStore(path)
+
+    def test_every_short_record_is_corruption(self, tmp_path):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 0, payload=b"root"))
+            store.append_node(record(sid(1), 11, 10, 1))
+        data = path.read_bytes()
+        boundaries = record_boundaries(data, len(_MAGIC))
+        for start, end in zip(boundaries, boundaries[1:]):
+            for n in range(end - start - 4):  # every body length short of the record's own
+                path.write_bytes(data[:start] + struct.pack("<I", n) + data[start + 4 : start + 4 + n] + data[end:])
+                with pytest.raises(CorruptStoreError):
+                    FileStore(path)
+
     def test_torn_trailing_record_is_ignored(self, tmp_path):
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
@@ -377,6 +421,60 @@ class TestFileStore:
                     except EmptySessionError:
                         continue
                     assert validate_cteg(snap.graph, snap.root).ok
+
+
+class TestBatches:
+    def test_append_trace_is_all_or_nothing(self, tmp_path):
+        path = tmp_path / "log.cteg"
+        c = cteg({1: 0, 2: 1, 3: 2}, {(1, 2), (2, 3)}, root=1, payloads={2: b"12345"})  # the middle row is too big
+        with FileStore(path, payload_cap=4) as store:
+            store.register_session(sid(1))
+            size = path.stat().st_size
+            with pytest.raises(PayloadTooLargeError):
+                append_trace(store, sid(1), c)
+            with pytest.raises(EmptySessionError):
+                store.load_session(sid(1))
+            assert path.stat().st_size == size
+        with FileStore(path) as reopened:
+            assert reopened.session_ids() == (sid(1),)
+            with pytest.raises(EmptySessionError):
+                reopened.load_session(sid(1))
+
+    def test_a_trace_is_one_write(self, tmp_path, monkeypatch):
+        batches = []
+        write = FileStore._write
+
+        def counting(self, session_id, rows):
+            batches.append(None if rows is None else len(rows))
+            write(self, session_id, rows)
+
+        monkeypatch.setattr(FileStore, "_write", counting)
+        with FileStore(tmp_path / "log.cteg") as store:
+            store.register_session(sid(1))
+            append_trace(store, sid(1), random_cteg(random.Random(4), 20))
+        assert batches == [None, 20]
+
+
+@given(traces=st.lists(ctegs(), min_size=1, max_size=3))
+def test_append_trace_writes_the_bytes_of_row_by_row_appends(traces):
+    sessions = [sid(i + 1) for i in range(len(traces))]
+    with tempfile.TemporaryDirectory() as tmp:
+        batched, by_row = Path(tmp) / "batched.cteg", Path(tmp) / "by_row.cteg"
+        with FileStore(batched) as store:
+            for session, c in zip(sessions, traces):
+                store.register_session(session)
+                append_trace(store, session, c)
+        with FileStore(by_row) as store:
+            for session, c in zip(sessions, traces):
+                store.register_session(session)
+                parents, g = c.parent_map(), c.graph
+                for n in sorted(g.nodes, key=lambda n: (g.t[n], n)):
+                    store.append_node(NodeRecord(n, session, parents.get(n), g.t[n], g.tau[n], g.payloads[n]))
+        assert batched.read_bytes() == by_row.read_bytes()
+        with FileStore(batched) as reopened:
+            assert reopened.session_ids() == tuple(sessions)
+            for session, c in zip(sessions, traces):
+                assert reopened.load_session(session) == c
 
 
 class TestExportImport:
