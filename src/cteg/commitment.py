@@ -49,6 +49,23 @@ class Digest:
         return f"Digest({self.value.hex()})"
 
 
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+
+
+def _type_head(name: str) -> bytes:
+    """The preimage up to the timestamp: domain tag, name length, name."""
+    raw = name.encode("utf-8")
+    return DOMAIN_TAG + _U32.pack(len(raw)) + raw
+
+
+def _digest(head: bytes, micros: int, payload: bytes, child_digests: Sequence[bytes]) -> bytes:
+    """SHA-256 of one node's preimage, given its children's raw digests in canonical order."""
+    return sha256(b"".join(
+        (head, _I64.pack(micros), sha256(payload).digest(), _U32.pack(len(child_digests)), *child_digests)
+    )).digest()
+
+
 def node_digest(
     event_type: EventType,
     timestamp: Timestamp,
@@ -61,34 +78,29 @@ def node_digest(
     i64-LE microseconds, SHA-256 of the payload, u32-LE child count, then
     the concatenated child digests.
     """
-    name = event_type.name.encode("utf-8")
-    h = sha256()
-    h.update(DOMAIN_TAG)
-    h.update(struct.pack("<I", len(name)))
-    h.update(name)
-    h.update(struct.pack("<q", timestamp.micros))
-    h.update(sha256(payload).digest())
-    h.update(struct.pack("<I", len(child_digests)))
-    for d in child_digests:
-        h.update(d.value)
-    return Digest(h.digest())
+    return Digest(_digest(_type_head(event_type.name), timestamp.micros, payload, [d.value for d in child_digests]))
 
 
 def merkle_root(c: Cteg) -> Digest:
-    """Root digest of a trace, computed bottom-up without recursion."""
+    """Root digest of a trace, computed bottom-up without recursion.
+
+    Timestamps strictly increase along edges, so visiting the nodes in
+    descending (timestamp, id) order reaches every child before its parent
+    and collects each node's child digests in reverse canonical order. The
+    root comes last.
+    """
     g = c.graph
-    digests: dict[ActionId, Digest] = {}
-    # A node is pushed bare, then again with its children in canonical order.
-    stack: list[tuple[ActionId, list[ActionId] | None]] = [(c.root, None)]
-    while stack:
-        n, children = stack.pop()
-        if children is None:
-            children = sorted(g.children_map()[n], key=lambda ch: (g.t[ch].micros, ch.value))
-            stack.append((n, children))
-            stack.extend((ch, None) for ch in children)
-        else:
-            digests[n] = node_digest(g.tau[n], g.t[n], g.payloads[n], [digests[ch] for ch in children])
-    return digests[c.root]
+    tau, payloads, parent_of = g.tau, g.payloads, c.parent_map()
+    below: dict[ActionId, list[bytes]] = {}
+    digest = b""
+    for n, ts in sorted(g.t.items(), key=lambda item: (item[1].micros, item[0].value), reverse=True):
+        kids = below.pop(n, [])
+        kids.reverse()
+        digest = _digest(_type_head(tau[n].name), ts.micros, payloads[n], kids)
+        parent = parent_of.get(n)
+        if parent is not None:
+            below.setdefault(parent, []).append(digest)
+    return Digest(digest)
 
 
 def verify_commitment(c: Cteg, d: Digest) -> bool:

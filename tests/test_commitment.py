@@ -10,6 +10,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given
 
 from cteg import (
     Cteg,
@@ -20,7 +21,7 @@ from cteg import (
     node_digest,
     verify_commitment,
 )
-from util import aid, cteg, mutate_cteg, random_cteg, ts, ty
+from util import aid, cteg, ctegs, mutate_cteg, random_cteg, ts, ty
 
 GOLDEN_ROOT_ONLY = "59b8e2b1f34c5df4b4b651aca55fae73515f21101b14c1e0332e79e47aeb8fc1"
 GOLDEN_CHAIN = "5a7e0092c966388b136a312b51fc4e131cfee1f6b0ec6f69446cc1f49c4fec12"
@@ -132,6 +133,16 @@ class TestMerkleRoot:
                 c.root,
             )
             assert merkle_root(grown) != base
+
+    @given(ctegs(max_nodes=30))
+    def test_matches_the_recursive_definition(self, c):
+        g, children = c.graph, c.graph.children_map()
+
+        def reference(n):
+            kids = sorted(children[n], key=lambda ch: (g.t[ch].micros, ch.value))
+            return oracle_digest(g.tau[n].name, g.t[n].micros, g.payloads[n], [reference(ch) for ch in kids])
+
+        assert merkle_root(c).value == reference(c.root)
 
     def test_deep_chain_does_not_hit_recursion_limits(self):
         nodes = {i: i for i in range(1, 3002)}
