@@ -17,6 +17,9 @@ share between threads without synchronization.
 
 The one mutable exception is `NodeTable`, the append-only node table that
 sessions and stores keep their traces in; every prefix of its rows is a CTEG.
+A `Cteg` is proved either by its public constructor, which validates the
+whole graph, or row by row by a `NodeTable`, whose `to_cteg` therefore
+builds the trace without validating it again.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import base64
 import secrets
 from collections import deque
 from dataclasses import dataclass
+from functools import total_ordering
 from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -108,15 +112,46 @@ class TimestampOrderError(StoreError, CompatibilityError):
     """A row's timestamp does not strictly exceed its parent's."""
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class _OpaqueId:
-    """128-bit opaque identifier, totally ordered by its big-endian bytes."""
+    """128-bit opaque identifier, totally ordered by its big-endian bytes.
 
-    value: bytes
+    An immutable value: equal, ordered and hashed by its bytes, and only
+    against ids of its own class. The hash is computed once, at
+    construction, so a dict or set lookup costs no Python-level work.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes) or len(self.value) != 16:
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: bytes) -> None:
+        if not isinstance(value, bytes) or len(value) != 16:
             raise ValueError(f"{type(self).__name__} requires exactly 16 bytes")
+        _put_value(self, value)
+        _put_hash(self, hash(value))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Rebuilt from the bytes, so the hash is recomputed under the loading process's seed.
+        return (type(self), (self.value,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value < other.value
+        return NotImplemented
 
     @classmethod
     def fresh(cls, source: Callable[[], bytes] | None = None):
@@ -139,8 +174,14 @@ class _OpaqueId:
         return f"{type(self).__name__}({self.value.hex()})"
 
 
+# The slots' own setters: construction writes past the immutable `__setattr__`.
+_put_value, _put_hash = _OpaqueId.value.__set__, _OpaqueId._hash.__set__
+
+
 class ActionId(_OpaqueId):
     """Globally unique node identity within and across graphs."""
+
+    __slots__ = ()
 
 
 # Sorting on the raw bytes orders ids exactly as their own comparison does,
@@ -412,8 +453,10 @@ class TypedTemporalGraph:
 class Cteg:
     """A validated causal-temporal event graph together with its causal root.
 
-    Construction runs full validation and raises ValidationFailedError on any
-    defect, so holding a Cteg is proof of well-formedness.
+    Holding a Cteg is proof of well-formedness, proved one of two ways: the
+    public constructor runs full validation and raises ValidationFailedError
+    on any defect, while `NodeTable.to_cteg` builds one from rows its own
+    row-by-row check already proved, without validating them again.
     """
 
     graph: TypedTemporalGraph
@@ -424,6 +467,13 @@ class Cteg:
         if not diag.ok:
             raise ValidationFailedError(diag)
         object.__setattr__(self, "_parents", None)
+
+    @classmethod
+    def _proved(cls, graph: TypedTemporalGraph, root: ActionId) -> "Cteg":
+        """A trace the caller has already proved valid, stored without validation."""
+        c = object.__new__(cls)
+        vars(c).update(graph=graph, root=root, _parents=None)
+        return c
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cteg):
@@ -479,8 +529,8 @@ class NodeTable:
     """Append-only node rows whose every prefix is a valid CTEG; owners serialize access.
 
     The one incremental check of the row invariant (parent present, fresh
-    id, strictly later timestamp, one root); `validate_cteg` is the
-    whole-graph reference.
+    id, strictly later timestamp, one root, bytes payload); `validate_cteg`
+    is the whole-graph reference. The check is the proof of `to_cteg`.
     """
 
     __slots__ = ("rows", "t")
@@ -500,7 +550,9 @@ class NodeTable:
         """Check a batch (parents may come earlier in it); return its `{node: ts}`, admitting nothing."""
         t = self.t
         new: dict[ActionId, Timestamp] = {}
-        for node, parent, ts, _, _ in rows:
+        for node, parent, ts, _, payload in rows:
+            if not isinstance(payload, bytes):
+                raise TypeError(f"payload of node {node.hex} must be bytes, not {type(payload).__name__}")
             if node in t or node in new:
                 raise DuplicateNodeError(f"node {node.hex} is already in the table")
             if parent is None:
@@ -539,8 +591,21 @@ class NodeTable:
         self.t.update(child.t)
 
     def to_cteg(self) -> Cteg:
-        """The table's trace, rooted at its first row."""
-        return Cteg(graph_from_rows(self.rows), self.rows[0][0])
+        """The table's trace, rooted at its first row, built without a second proof.
+
+        The row check is the proof: the first row is the only parentless one,
+        so the other rows' parent pointers are the edges.
+        """
+        nodes, parents, _, types, payloads = zip(*self.rows)
+        graph = TypedTemporalGraph._unchecked(
+            frozenset(nodes),
+            frozenset(zip(parents[1:], nodes[1:])),
+            dict(self.t),
+            dict(zip(nodes, types)),
+            frozenset(types),
+            dict(zip(nodes, payloads)),
+        )
+        return Cteg._proved(graph, nodes[0])
 
 
 def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:

@@ -29,6 +29,7 @@ session ids).
 from __future__ import annotations
 
 import base64
+import logging
 import os
 import struct
 from dataclasses import dataclass
@@ -73,6 +74,7 @@ __all__ = [
     "NodeRecord",
     "MemoryStore",
     "FileStore",
+    "OpenReport",
     "append_trace",
     "export_trace",
     "parse_trace",
@@ -106,6 +108,10 @@ class TraceFormatError(CtegError):
 
 
 DEFAULT_PAYLOAD_CAP = 1 << 20  # one MiB per payload
+
+_logger = logging.getLogger("cteg")
+if not _logger.handlers:
+    _logger.addHandler(logging.NullHandler())  # the application decides what reaches stderr
 
 
 @dataclass(frozen=True)
@@ -215,13 +221,16 @@ def _encode_rows(session_id: SessionId, rows: Sequence[Row]) -> bytearray:
 
 
 @lru_cache(maxsize=256)
-def _event_type(name: bytes) -> EventType:
-    """Replayed rows share one checked `EventType` per name; a log holds few of them."""
-    return EventType(name.decode("utf-8"))
+def _event_type(name: str) -> EventType:
+    """Parsed and replayed rows share one checked `EventType` per name; a trace holds few of them."""
+    return EventType(name)
 
 
-def _decode_record(body: bytes) -> SessionId | tuple[SessionId, Row]:
-    """A session registration or a session's node row; any malformed body is corruption."""
+def _decode_record(body: bytes, ids: dict[bytes, ActionId]) -> SessionId | tuple[bytes, Row]:
+    """A session registration, or a node row with its session's raw id; any malformed body is corruption.
+
+    `ids` holds the ids decoded so far, so a parent reuses its node's object.
+    """
     try:
         kind = body[0]
         if kind == _KIND_SESSION:
@@ -236,7 +245,7 @@ def _decode_record(body: bytes) -> SessionId | tuple[SessionId, Row]:
             parent, offset = None, _ROOT_HEAD.size
         elif flag == 1:
             _, node, sid, _, parent_id, micros, type_len = _CHILD_HEAD.unpack_from(body)
-            parent, offset = ActionId(parent_id), _CHILD_HEAD.size
+            parent, offset = ids.get(parent_id) or ActionId(parent_id), _CHILD_HEAD.size
         else:
             raise CorruptStoreError(f"bad parent flag {flag}")
         end = offset + type_len
@@ -244,9 +253,26 @@ def _decode_record(body: bytes) -> SessionId | tuple[SessionId, Row]:
         payload = body[end + 4 :]
         if len(payload) != payload_len:
             raise CorruptStoreError("node record length mismatch")
-        return SessionId(sid), (ActionId(node), parent, Timestamp(micros), _event_type(body[offset:end]), payload)
+        node_id = ids[node] = ActionId(node)
+        return sid, (node_id, parent, Timestamp(micros), _event_type(body[offset:end].decode("utf-8")), payload)
     except (IndexError, ValueError, struct.error) as exc:
         raise CorruptStoreError(f"malformed record: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class OpenReport:
+    """What opening a `FileStore` found and did.
+
+    `records` complete records were replayed into `sessions` sessions, and
+    `torn_bytes` bytes of a torn trailing record were cut off. `new_log` is
+    true when the file was missing or cut inside its header, so a fresh
+    header was written and nothing was replayed.
+    """
+
+    records: int
+    sessions: int
+    torn_bytes: int
+    new_log: bool
 
 
 def _open_log(path: Path):
@@ -269,7 +295,8 @@ class FileStore(MemoryStore):
     before the store admits it; a failed or short write is rolled back. An
     append never goes to a log that is no longer linked (removed, or
     replaced by a rename over it): it reopens the path, and fails while no
-    file is there.
+    file is there. `open_report` says what opening the file found; cutting
+    a torn tail is also logged as a warning on the `cteg` logger.
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -279,34 +306,45 @@ class FileStore(MemoryStore):
         if len(data) < len(_MAGIC) and _MAGIC.startswith(data):
             # A crash while the log was being created leaves it empty or cut in its header.
             self._path.write_bytes(_MAGIC)
+            self._open_report = OpenReport(0, 0, 0, True)
         else:
-            self._replay(data)
+            self._open_report = self._replay(data)
         self._log = _open_log(self._path)
 
-    def _replay(self, data: bytes) -> None:
+    @property
+    def open_report(self) -> OpenReport:
+        """What opening the file found: records replayed, sessions, torn bytes cut, new log."""
+        return self._open_report
+
+    def _replay(self, data: bytes) -> OpenReport:
         if data[: len(_MAGIC)] != _MAGIC:
             raise CorruptStoreError("missing store magic header")
         tables = self._tables
+        by_sid: dict[bytes, NodeTable] = {}
+        ids: dict[bytes, ActionId] = {}
         index, offset = 0, len(_MAGIC)
         while offset + 4 <= len(data):
             end = offset + 4 + _U32.unpack_from(data, offset)[0]
             if end > len(data):
                 break
             try:
-                record = _decode_record(data[offset + 4 : end])
+                record = _decode_record(data[offset + 4 : end], ids)
                 if isinstance(record, SessionId):
                     if record in tables:
                         raise DuplicateSessionError(f"session {record.hex} is already registered")
-                    tables[record] = NodeTable()
+                    tables[record] = by_sid[record.value] = NodeTable()
                 else:
                     sid, row = record
-                    self._table(sid).append((row,))
+                    (by_sid.get(sid) or self._table(SessionId(sid))).append((row,))
             except StoreError as exc:
                 raise CorruptStoreError(f"record {index} at byte {offset}: {exc}") from exc
             index, offset = index + 1, end
-        if offset < len(data):
+        torn = len(data) - offset
+        if torn:
             with open(self._path, "r+b") as fh:
                 fh.truncate(offset)
+            _logger.warning("store.torn_tail_cut path=%s offset=%d bytes=%d records=%d", self._path, offset, torn, index)
+        return OpenReport(index, len(tables), torn, False)
 
     def _write(self, session_id: SessionId, rows: Sequence[Row] | None) -> None:
         if rows is None:
@@ -407,6 +445,9 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
 
     rows: list[Row] = []
     seen: set[ActionId] = set()
+    # One object per node id: a parent field that repeats a node field reuses
+    # the node's id, so lookups on it stop at identity.
+    ids: dict[str, ActionId] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != 5:
@@ -415,13 +456,13 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
         node = _parse_id(node_field, f"node id on line {lineno}")
         if node in seen:
             raise TraceFormatError(f"line {lineno}: duplicate node id {node.hex}")
-        parent = None if parent_field == "-" else _parse_id(parent_field, f"parent id on line {lineno}")
+        parent = None if parent_field == "-" else ids.get(parent_field) or _parse_id(parent_field, f"parent id on line {lineno}")
         try:
             ts = Timestamp(int(ts_field))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad timestamp: {exc}") from exc
         try:
-            event_type = EventType(type_field)
+            event_type = _event_type(type_field)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad event type: {exc}") from exc
         try:
@@ -429,6 +470,7 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
         except (ValueError, UnicodeEncodeError) as exc:
             raise TraceFormatError(f"line {lineno}: bad base64 payload: {exc}") from exc
         seen.add(node)
+        ids[node_field] = node
         rows.append((node, parent, ts, event_type, payload))
 
     if not rows:

@@ -18,11 +18,12 @@ A session keeps its trace in a `core.NodeTable`, the append-only node
 table the stores keep too, so an emit or a graft costs what it adds, not
 the size of the trace. The table checks each emitted batch row by row and
 each graft by its one new edge. No step re-validates the whole trace:
-`snapshot` builds the graph from the rows and validates it once per
-change. `history` is materialised on demand, one graph per state from a
-prefix of the rows, and an invocation label carries the settled child's
-own history. It skips the execution sequence's pair-by-pair extension
-proof: a prefix of the append-only rows extends every shorter one.
+those checks are the proof, so `snapshot` builds the graph from the rows
+once per change and does not validate it again. `history` is materialised
+on demand, one graph per state from a prefix of the rows, and an
+invocation label carries the settled child's own history. It skips the
+execution sequence's pair-by-pair extension proof: a prefix of the
+append-only rows extends every shorter one.
 
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
@@ -82,6 +83,8 @@ class SessionMismatchError(CtegError):
 
 class SessionId(_OpaqueId):
     """Globally unique session identity."""
+
+    __slots__ = ()
 
 
 class SessionStatus(Enum):
@@ -190,7 +193,11 @@ class Session:
         return self._root
 
     def snapshot(self) -> Cteg:
-        """The current trace as an immutable, always-valid value, validated once per change."""
+        """The current trace as an immutable, always-valid value.
+
+        Built once per change by `NodeTable.to_cteg`: the table's row checks
+        at each emit and graft are its proof, so it is not validated again.
+        """
         with self._lock:
             if self._snapshot is None:
                 self._snapshot = self._table.to_cteg()

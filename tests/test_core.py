@@ -1,7 +1,9 @@
 """Unit tests for the graph model and its static operations.
 
 Covered claims:
-    - identifier, timestamp and type invariants hold at construction
+    - identifier, timestamp and type invariants hold at construction; ids
+      are immutable values, equal, hashed and ordered by their bytes within
+      their own class only, and survive pickling and deep copies
     - validators report every violated arborescence / timestamp condition
     - root-to-node paths are unique (checked against brute-force search)
     - node-table rows build the graph their parent pointers describe, and a
@@ -16,6 +18,9 @@ Covered claims:
     - height is the longest root-to-leaf path
 """
 
+import copy
+import operator
+import pickle
 import random
 
 import pytest
@@ -30,6 +35,7 @@ from cteg import (
     EventType,
     Timestamp,
     TypedTemporalGraph,
+    SessionId,
     UnknownNodeError,
     ValidationFailedError,
     causal_path,
@@ -58,6 +64,64 @@ class TestIdentifiers:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             ActionId(b"short")
+
+    @pytest.mark.parametrize("value", [bytes(15), bytes(17), bytearray(16), "0" * 16, 0])
+    def test_only_sixteen_bytes_are_an_id(self, value):
+        for cls in (ActionId, SessionId):
+            with pytest.raises(ValueError, match="requires exactly 16 bytes"):
+                cls(value)
+
+    def test_ids_of_different_classes_are_never_equal(self):
+        value = bytes(range(16))
+        assert ActionId(value) != SessionId(value)
+        assert not ActionId(value) == SessionId(value)
+        assert len({ActionId(value), SessionId(value)}) == 2
+
+    def test_equal_ids_hash_equal(self):
+        value = bytes(range(16))
+        for cls in (ActionId, SessionId):
+            a, b = cls(value), cls(bytes(value))
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_ids_of_different_classes_do_not_order(self, op):
+        with pytest.raises(TypeError):
+            op(ActionId.from_int(1), SessionId.from_int(2))
+
+    def test_order_operators_agree_with_the_bytes(self):
+        ids = [ActionId.from_int(n) for n in (0, 1, 2, 255, 256)]
+        for x in ids:
+            for y in ids:
+                assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                    x.value < y.value, x.value <= y.value, x.value > y.value, x.value >= y.value, x.value == y.value
+                )
+
+    def test_ids_are_immutable(self):
+        a = ActionId.from_int(7)
+        with pytest.raises(AttributeError):
+            a.value = bytes(16)
+        with pytest.raises(AttributeError):
+            del a.value
+        assert a == ActionId.from_int(7)
+
+    def test_ids_take_no_other_attributes(self):
+        for x in (ActionId.from_int(7), SessionId.from_int(7)):
+            with pytest.raises(AttributeError):
+                x.other = 1
+            assert not hasattr(x, "__dict__")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for x in (ActionId.from_int(5), SessionId.from_int(5)):
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+                assert type(y) is type(x)
+                assert y == x and hash(y) == hash(x)
+                assert repr(y) == repr(x) and y.hex == x.hex
+
+    def test_repr_names_the_class_and_the_hex(self):
+        assert repr(ActionId.from_int(1)) == "ActionId(00000000000000000000000000000001)"
+        assert repr(SessionId.from_int(1)) == "SessionId(00000000000000000000000000000001)"
 
     def test_fresh_ids_are_distinct(self):
         drawn = {ActionId.fresh() for _ in range(1000)}

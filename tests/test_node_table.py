@@ -11,10 +11,21 @@ Covered claims:
       the same graph when it does
     - the in-memory and the file-backed store raise the same error class
       for the same bad record, and the file replays to the same traces
+    - `to_cteg` on rows with grafts builds, without validating, the same
+      fields the validating `Cteg(graph_from_rows(rows), root)` builds; the
+      trace it returns does not change when the table grows, and a file
+      store reopens to equal traces
+    - loading a stored session and taking a session snapshot run no
+      `validate_cteg`; importing trace text runs it exactly once
+    - a payload that is not `bytes` is rejected with TypeError, admitting
+      nothing
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -24,12 +35,17 @@ from cteg import (
     Cteg,
     CtegError,
     DisjointnessError,
+    FailurePolicy,
     FileStore,
     MemoryStore,
     NodeRecord,
     SessionId,
     UnknownNodeError,
+    append_trace,
+    begin_session,
+    export_trace,
     graft_cteg,
+    import_trace,
     validate_cteg,
 )
 from cteg.core import NodeTable, StoreError, graph_from_rows
@@ -206,3 +222,101 @@ def test_memory_and_file_stores_raise_the_same_errors(script):
             assert reopened.session_ids() == memory.session_ids()
             if rows:
                 assert reopened.load_session(session) == memory.load_session(session)
+
+
+def _grown_table(host, grafts):
+    """A valid table from a fault-free script, with valid child tables grafted under its nodes."""
+    table = _valid_table(host, 0)
+    for k, (child, attach) in enumerate(grafts):
+        p = table.rows[attach % len(table.rows)][0]
+        shift = table.t[p].micros  # child roots sit at t=1, so this makes the new edge strictly increasing
+        shifted = NodeTable()
+        shifted.append([(n, q, ts(t.micros + shift), kind, pl) for n, q, t, kind, pl in _valid_table(child, 1000 * (k + 1)).rows])
+        table.graft(p, shifted)
+    return table
+
+
+_grafts = st.lists(st.tuples(_scripts, st.integers(0, 99)), max_size=3)
+
+
+@given(host=_scripts, grafts=_grafts)
+def test_to_cteg_builds_what_the_validating_constructor_builds(host, grafts):
+    table = _grown_table(host, grafts)
+    rows = list(table.rows)
+    trace = table.to_cteg()
+    reference = Cteg(graph_from_rows(rows), rows[0][0])
+    assert trace == reference and hash(trace) == hash(reference)
+    g, r = trace.graph, reference.graph
+    assert (g.nodes, g.edges, g.t, g.tau, g.type_set, g.payloads) == (r.nodes, r.edges, r.t, r.tau, r.type_set, r.payloads)
+    assert [type(x) for x in (g.nodes, g.edges, g.t, g.tau, g.type_set, g.payloads)] == [
+        type(x) for x in (r.nodes, r.edges, r.t, r.tau, r.type_set, r.payloads)
+    ]
+    assert trace.root == reference.root and trace.parent_map() == reference.parent_map()
+    assert validate_cteg(g, trace.root).ok
+
+    # The trace is a value: rows appended later do not reach it.
+    table.append([(aid(99_999), rows[0][0], ts(rows[0][2].micros + 1), ty("late"), b"")])
+    assert trace == reference and aid(99_999) not in g.t
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.cteg"
+        with FileStore(path) as store:
+            sid = store.register_session(SessionId.from_int(1))
+            for node, parent, stamp, kind, payload in rows:
+                store.append_node(NodeRecord(node, sid, parent, stamp, kind, payload))
+        with FileStore(path) as reopened:
+            assert reopened.load_session(sid) == reference
+
+
+def _quiet_session():
+    """A session on a frozen clock whose ids count up from 1."""
+    draws = iter(range(1, 1000))
+    return begin_session(ty("task"), wall_clock=lambda: 0, id_factory=lambda: next(draws).to_bytes(16, "big"))
+
+
+def _spy():
+    return mock.patch("cteg.core.validate_cteg", mock.Mock(wraps=validate_cteg))
+
+
+def test_load_and_snapshot_do_not_validate(tmp_path):
+    with _spy() as spy:
+        s = _quiet_session()
+        (a,) = s.emit(s.root, [(ty("a"), b"x")])
+        handle, child = s.invoke_subagent(a, ty("sub"))
+        child.emit(child.root, [(ty("b"), b""), (ty("c"), b"y")])
+        s.complete_subagent(handle, child)
+        handle, failed = s.invoke_subagent(s.root, ty("sub"))
+        failed.emit(failed.root, [(ty("d"), b"")])
+        s.fail_subagent(handle, failed, FailurePolicy.GRAFT_PARTIAL)
+        trace = s.snapshot()
+        assert child.snapshot().graph.nodes < trace.graph.nodes
+        with FileStore(tmp_path / "log.cteg") as store:
+            for target in (MemoryStore(), store):
+                target.register_session(s.id)
+                append_trace(target, s.id, trace)
+                assert target.load_session(s.id) == trace
+        with FileStore(tmp_path / "log.cteg") as reopened:
+            assert reopened.load_session(s.id) == trace
+        assert spy.call_count == 0
+    assert validate_cteg(trace.graph, trace.root).ok
+
+
+def test_import_validates_exactly_once():
+    s = _quiet_session()
+    s.emit(s.root, [(ty("a"), b""), (ty("b"), b"z")])
+    text = export_trace(s.snapshot(), s.id)
+    with _spy() as spy:
+        trace, sid = import_trace(text)
+        assert spy.call_count == 1
+    assert (trace, sid) == (s.snapshot(), s.id)
+
+
+@pytest.mark.parametrize("payload", [bytearray(b"ab"), "ab", memoryview(b"ab"), None])
+def test_a_payload_that_is_not_bytes_is_rejected(payload):
+    table = NodeTable()
+    with pytest.raises(TypeError, match="must be bytes"):
+        table.append([(aid(1), None, ts(0), ty("evt"), payload)])
+    table.append([(aid(1), None, ts(0), ty("evt"), b"")])
+    with pytest.raises(TypeError, match="must be bytes"):
+        table.append([(aid(2), aid(1), ts(1), ty("evt"), b""), (aid(3), aid(1), ts(1), ty("evt"), payload)])
+    assert table.rows == [(aid(1), None, ts(0), ty("evt"), b"")] and table.t == {aid(1): ts(0)}

@@ -11,6 +11,9 @@ Covered claims:
       that fails, wholly or part-way, leaves nothing admitted or stored
     - the file store appends through one handle, and once closed it
       refuses appends but still answers reads
+    - the file store's open report counts the records replayed, the
+      sessions and the torn bytes cut, and says when a new log was started;
+      a torn-tail cut, and only that, logs one warning on the `cteg` logger
     - every malformed complete record, however short, is corruption, and
       corruption names the record's index and byte offset
     - `append_trace` is one checked write, admitted whole or not at all,
@@ -21,6 +24,7 @@ Covered claims:
       inverts it bit-exactly, and malformed text is reported line by line
 """
 
+import logging
 import random
 import struct
 import tempfile
@@ -56,6 +60,7 @@ from cteg.persistence import (
     DuplicateRootError,
     DuplicateSessionError,
     EmptySessionError,
+    OpenReport,
     PayloadTooLargeError,
     StoreError,
     TimestampOrderError,
@@ -141,6 +146,14 @@ class TestAppend:
     def test_unknown_session_rejected(self, store):
         with pytest.raises(UnknownSessionError):
             store.append_node(record(sid(9), 10, None, 0))
+
+    @pytest.mark.parametrize("payload", [bytearray(b"ab"), "ab"])
+    def test_payload_that_is_not_bytes_rejected(self, store, payload):
+        s = store.register_session(sid(1))
+        with pytest.raises(TypeError, match="must be bytes"):
+            store.append_node(record(s, 1, None, 0, payload))
+        store.append_node(record(s, 1, None, 0, b"ab"))
+        assert store.load_session(s).graph.payloads == {aid(1): b"ab"}
 
     def test_payload_cap_enforced(self, tmp_path):
         small = MemoryStore(payload_cap=4)
@@ -304,6 +317,61 @@ class TestFileStore:
         path.write_bytes(data + b"\x99\x00\x00\x00partial")
         with FileStore(path) as reopened:
             assert reopened.load_session(sid(1)).graph.nodes == {aid(10)}
+
+    @pytest.mark.parametrize("data", [None, b"", b"CTEG", _MAGIC[:-1]])
+    def test_open_report_of_a_new_log(self, tmp_path, data, caplog):
+        path = tmp_path / "log.cteg"
+        if data is not None:
+            path.write_bytes(data)
+        with caplog.at_level(logging.DEBUG, logger="cteg"), FileStore(path) as store:
+            assert store.open_report == OpenReport(records=0, sessions=0, torn_bytes=0, new_log=True)
+        assert path.read_bytes() == _MAGIC
+        assert caplog.records == []
+
+    def test_open_report_of_a_whole_log(self, tmp_path, caplog):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+            assert store.open_report.new_log
+            store.register_session(sid(1))
+            store.register_session(sid(2))
+            for rec in (record(sid(1), 10, None, 0), record(sid(2), 20, None, 0), record(sid(1), 11, 10, 1)):
+                store.append_node(rec)
+        with caplog.at_level(logging.DEBUG, logger="cteg"), FileStore(path) as reopened:
+            assert reopened.open_report == OpenReport(records=5, sessions=2, torn_bytes=0, new_log=False)
+        assert caplog.records == []
+        path.write_bytes(_MAGIC)
+        with FileStore(path) as empty:
+            assert empty.open_report == OpenReport(records=0, sessions=0, torn_bytes=0, new_log=False)
+
+    def test_open_report_of_a_log_cut_at_every_byte(self, tmp_path, caplog):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_node(record(sid(1), 10, None, 0, b"payload"))
+            store.append_node(record(sid(1), 11, 10, 1))
+        data = path.read_bytes()
+        boundaries = record_boundaries(data, len(_MAGIC))
+        assert len(boundaries) == 4
+        for cut in range(len(_MAGIC), len(data) + 1):
+            path.write_bytes(data[:cut])
+            complete = [b for b in boundaries if b <= cut]
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="cteg"), FileStore(path) as reopened:
+                report = reopened.open_report
+            torn = cut - complete[-1]
+            assert report == OpenReport(records=len(complete) - 1, sessions=min(1, len(complete) - 1), torn_bytes=torn, new_log=False)
+            assert path.read_bytes() == data[: complete[-1]]
+            if torn:
+                (event,) = caplog.records
+                assert (event.name, event.levelno) == ("cteg", logging.WARNING)
+                assert event.getMessage() == (
+                    f"store.torn_tail_cut path={path} offset={complete[-1]} bytes={torn} records={len(complete) - 1}"
+                )
+            else:
+                assert caplog.records == []
+
+    def test_the_cteg_logger_prints_nothing_unless_configured(self):
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("cteg").handlers)
 
     def test_store_stays_appendable_after_a_cut_at_any_byte(self, tmp_path):
         path = tmp_path / "log.cteg"

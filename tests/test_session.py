@@ -15,7 +15,9 @@ Covered claims:
       every child history in its labels, passes the public constructor,
       and building it runs no extension proof
     - rejected emits and grafts raise today's error classes and leave the
-      trace and its history unchanged
+      trace and its history unchanged; a payload that is not `bytes` is
+      rejected with TypeError wherever a session takes one, so a snapshot
+      never shares a caller's mutable buffer
 """
 
 import random
@@ -412,6 +414,32 @@ class TestRejectedSteps:
         (node,) = s.emit(s.root, [(ty("a"), b"")])
         assert node == aid(4)  # the rejected batch's draws stay consumed
         assert s.snapshot().graph.t[node] == Timestamp(1)
+
+    def test_emit_of_a_payload_that_is_not_bytes_admits_nothing(self):
+        s = begin_session(ty("task"), wall_clock=frozen_clock(), id_factory=scripted_ids(*range(1, 10)))
+        before, history = s.snapshot(), s.history()
+        buffer = bytearray(b"ab")
+        with pytest.raises(TypeError, match="must be bytes"):
+            s.emit(s.root, [(ty("a"), b""), (ty("b"), buffer)])
+        with pytest.raises(TypeError, match="must be bytes"):
+            s.emit(s.root, [(ty("a"), "ab")])
+        assert s.snapshot() == before
+        assert s.history() == history
+        (node,) = s.emit(s.root, [(ty("a"), bytes(buffer))])
+        assert s.snapshot().graph.t[node] == Timestamp(1)  # the rejected batches issued no time
+        buffer[0] = 0
+        assert s.snapshot().graph.payloads[node] == b"ab"
+        hash(s.snapshot().graph)
+
+    @pytest.mark.parametrize("payload", [bytearray(b"ab"), "ab"])
+    def test_a_root_payload_that_is_not_bytes_is_rejected(self, payload):
+        with pytest.raises(TypeError, match="must be bytes"):
+            begin_session(ty("task"), payload=payload)
+        s = quiet_session()
+        before = s.snapshot()
+        with pytest.raises(TypeError, match="must be bytes"):
+            s.invoke_subagent(s.root, ty("sub"), payload=payload)
+        assert s.snapshot() == before
 
     def test_graft_of_a_child_sharing_an_id_changes_nothing(self):
         # session 1 with root 2 emits node 3; child session 4 with root 5 emits node 3 again
