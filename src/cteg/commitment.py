@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Sequence
 
-from .core import ActionId, Cteg, EventType, Timestamp
+from .core import ActionId, Cteg, EventType, Timestamp, projection_rows
 
 __all__ = ["DOMAIN_TAG", "Digest", "node_digest", "merkle_root", "verify_commitment"]
 
@@ -84,20 +84,18 @@ def node_digest(
 def merkle_root(c: Cteg) -> Digest:
     """Root digest of a trace, computed bottom-up without recursion.
 
-    Timestamps strictly increase along edges, so visiting the nodes in
-    descending (timestamp, id) order reaches every child before its parent
-    and collects each node's child digests in reverse canonical order. The
-    root comes last.
+    Timestamps strictly increase along edges, so walking the trace's
+    projection rows backwards, in descending (timestamp, id) order, reaches
+    every child before its parent and collects each node's child digests in
+    reverse canonical order. The root comes last. The walk reads the trace's
+    cached rows, so it neither sorts nor builds a parent map.
     """
-    g = c.graph
-    tau, payloads, parent_of = g.tau, g.payloads, c.parent_map()
     below: dict[ActionId, list[bytes]] = {}
     digest = b""
-    for n, ts in sorted(g.t.items(), key=lambda item: (item[1].micros, item[0].value), reverse=True):
+    for n, parent, ts, event_type, payload in reversed(projection_rows(c)):
         kids = below.pop(n, [])
         kids.reverse()
-        digest = _digest(_type_head(tau[n].name), ts.micros, payloads[n], kids)
-        parent = parent_of.get(n)
+        digest = _digest(_type_head(event_type.name), ts.micros, payload, kids)
         if parent is not None:
             below.setdefault(parent, []).append(digest)
     return Digest(digest)

@@ -16,10 +16,14 @@ construction and all operations are pure, so everything here is safe to
 share between threads without synchronization.
 
 The one mutable exception is `NodeTable`, the append-only node table that
-sessions and stores keep their traces in; every prefix of its rows is a CTEG.
-A `Cteg` is proved either by its public constructor, which validates the
-whole graph, or row by row by a `NodeTable`, whose `to_cteg` therefore
-builds the trace without validating it again.
+sessions, stores and trace import keep their rows in; every prefix of its
+rows is a CTEG. A `Cteg` is proved either row by row by a `NodeTable`, whose
+`to_cteg` therefore builds the trace without validating it again, or by its
+public constructor, which validates the whole graph with diagnostics and is
+the reference the table is tested against. A trace computes its temporal
+projection rows at most once, and `to_cteg` hands over table rows that are
+already in projection order, so a canonical import, or a store session
+written by `append_trace`, is never sorted.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -185,8 +189,9 @@ class ActionId(_OpaqueId):
 
 
 # Sorting on the raw bytes orders ids exactly as their own comparison does,
-# without a Python-level comparison per step.
+# without a Python-level comparison per step; the same holds for timestamps.
 _id_bytes = attrgetter("value")
+_micros = attrgetter("micros")
 
 
 _TS_MIN = -(2**63)
@@ -453,10 +458,14 @@ class TypedTemporalGraph:
 class Cteg:
     """A validated causal-temporal event graph together with its causal root.
 
-    Holding a Cteg is proof of well-formedness, proved one of two ways: the
-    public constructor runs full validation and raises ValidationFailedError
-    on any defect, while `NodeTable.to_cteg` builds one from rows its own
-    row-by-row check already proved, without validating them again.
+    Holding a Cteg is proof of well-formedness, proved one of two ways:
+    `NodeTable.to_cteg` builds one from rows its own row-by-row check
+    already proved, without validating them again, while the public
+    constructor runs full validation and raises ValidationFailedError on any
+    defect. Next to the parent map, a trace caches its projection rows, which
+    `projection_rows`, `temporal_projection`, export, store append and the
+    Merkle receipt all read; `to_cteg` seeds them when its rows are already
+    in projection order.
     """
 
     graph: TypedTemporalGraph
@@ -467,12 +476,16 @@ class Cteg:
         if not diag.ok:
             raise ValidationFailedError(diag)
         object.__setattr__(self, "_parents", None)
+        object.__setattr__(self, "_rows", None)
 
     @classmethod
-    def _proved(cls, graph: TypedTemporalGraph, root: ActionId) -> "Cteg":
-        """A trace the caller has already proved valid, stored without validation."""
+    def _proved(cls, graph: TypedTemporalGraph, root: ActionId, rows: tuple[Row, ...] | None = None) -> "Cteg":
+        """A trace the caller has already proved valid, stored without validation.
+
+        `rows`, when given, must be the trace's rows in projection order.
+        """
         c = object.__new__(cls)
-        vars(c).update(graph=graph, root=root, _parents=None)
+        vars(c).update(graph=graph, root=root, _parents=None, _rows=rows)
         return c
 
     def __eq__(self, other: object) -> bool:
@@ -519,10 +532,28 @@ def graph_from_rows(rows: Iterable[Row], type_set: Iterable[EventType] | None = 
     return TypedTemporalGraph(frozenset(t), frozenset(edges), t, tau, types, payloads)
 
 
+def _projection(c: Cteg) -> tuple[Row, ...]:
+    """The trace's cached rows in projection order, computed on first use."""
+    rows = c._rows  # type: ignore[attr-defined]
+    if rows is None:
+        g, parents = c.graph, c.parent_map()
+        t, tau, payloads = g.t, g.tau, g.payloads
+        # Two stable sorts with keys computed in C: by id, then by microseconds.
+        order = sorted(t, key=_id_bytes)
+        order.sort(key=dict(zip(t, map(_micros, t.values()))).__getitem__)
+        rows = tuple([(n, parents.get(n), t[n], tau[n], payloads[n]) for n in order])
+        object.__setattr__(c, "_rows", rows)
+    return rows
+
+
 def projection_rows(c: Cteg) -> list[Row]:
-    """The trace's rows in temporal projection order, so every parent comes first."""
-    parents, g = c.parent_map(), c.graph
-    return [(n, parents.get(n), g.t[n], g.tau[n], g.payloads[n]) for n in temporal_projection(c)]
+    """The trace's rows in temporal projection order, so every parent comes first.
+
+    Timestamps rise strictly along every edge, so sorting the rows by
+    (timestamp, node id) lists each parent before its children. The list is
+    fresh on every call; the order behind it is computed once per trace.
+    """
+    return list(_projection(c))
 
 
 class NodeTable:
@@ -594,9 +625,14 @@ class NodeTable:
         """The table's trace, rooted at its first row, built without a second proof.
 
         The row check is the proof: the first row is the only parentless one,
-        so the other rows' parent pointers are the edges.
+        so the other rows' parent pointers are the edges. When the rows are
+        already in strict (timestamp, id) order, as a canonical export or a
+        store session written by `append_trace` lists them, they are the
+        trace's projection rows; one scan finds that out and seeds the
+        trace's cache with them, so it never sorts.
         """
-        nodes, parents, _, types, payloads = zip(*self.rows)
+        rows = self.rows
+        nodes, parents, stamps, types, payloads = zip(*rows)
         graph = TypedTemporalGraph._unchecked(
             frozenset(nodes),
             frozenset(zip(parents[1:], nodes[1:])),
@@ -605,7 +641,9 @@ class NodeTable:
             frozenset(types),
             dict(zip(nodes, payloads)),
         )
-        return Cteg._proved(graph, nodes[0])
+        keys = [(ts.micros, n.value) for n, ts in zip(nodes, stamps)]
+        ordered = all(map(lt, keys, islice(keys, 1, None)))
+        return Cteg._proved(graph, nodes[0], tuple(rows) if ordered else None)
 
 
 def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:
@@ -738,10 +776,9 @@ def temporal_projection(c: Cteg) -> tuple[ActionId, ...]:
     """Enumerate all nodes in nondecreasing timestamp order.
 
     Ties are broken by ascending node id so the projection is a deterministic
-    function of the graph.
+    function of the graph. It is the node column of `projection_rows`.
     """
-    t = c.graph.t
-    return tuple(sorted(c.graph.nodes, key=lambda n: (t[n].micros, n.value)))
+    return tuple([row[0] for row in _projection(c)])
 
 
 def height(c: Cteg) -> int:

@@ -23,7 +23,11 @@ The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
 order, with base64 payloads. Export is canonical, so byte equality of two
 exports coincides with equality of the traces they encode (given equal
-session ids).
+session ids). Import appends the parsed rows to a fresh `NodeTable`, the
+same proof a store's `load_session` relies on; only text the table rejects
+is validated whole by `Cteg(...)`, which also gives its diagnostics.
+Export and `append_trace` read the trace's cached projection rows, which a
+canonical import already has in place.
 """
 
 from __future__ import annotations
@@ -381,8 +385,9 @@ def append_trace(store: MemoryStore, session_id: SessionId, c: Cteg) -> None:
     """Write a whole trace as one batch of rows, parents before children.
 
     Temporal projection order guarantees every parent row precedes its
-    children, so the batch passes the store's check. The batch is admitted
-    whole or not at all. The session must already be registered.
+    children, so the batch passes the store's check; the rows are the
+    trace's cached projection rows. The batch is admitted whole or not at
+    all. The session must already be registered.
     """
     store._append_rows(session_id, projection_rows(c))
 
@@ -419,13 +424,8 @@ def _parse_id(field: str, what: str) -> ActionId:
         raise TraceFormatError(f"bad {what} {field!r}: {exc}") from exc
 
 
-def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
-    """Parse trace text into an unvalidated graph, root candidate and session id.
-
-    Parsing covers everything needed to *represent* the rows as a typed
-    temporal graph; whether that graph is a well-formed CTEG is the
-    validators' concern. The root candidate is the first parentless row.
-    """
+def _parse_rows(data: bytes) -> tuple[list[Row], set[ActionId], SessionId]:
+    """The text's node rows in file order, their node ids and the session id; each line is checked on its own."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -472,7 +472,11 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
         seen.add(node)
         ids[node_field] = node
         rows.append((node, parent, ts, event_type, payload))
+    return rows, seen, session
 
+
+def _graph_of(rows: list[Row], seen: set[ActionId]) -> tuple[TypedTemporalGraph, ActionId]:
+    """The rows' unvalidated graph and root candidate, once the rows can represent one."""
     if not rows:
         raise TraceFormatError("trace has a header but no node rows")
     roots = [node for node, parent, *_ in rows if parent is None]
@@ -485,14 +489,42 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
         graph = graph_from_rows(rows)
     except ValueError as exc:
         raise TraceFormatError(f"rows do not form a representable graph: {exc}") from exc
-    return graph, roots[0], session
+    return graph, roots[0]
+
+
+def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
+    """Parse trace text into an unvalidated graph, root candidate and session id.
+
+    Parsing covers everything needed to *represent* the rows as a typed
+    temporal graph; whether that graph is a well-formed CTEG is the
+    validators' concern. The root candidate is the first parentless row.
+    """
+    rows, seen, session = _parse_rows(data)
+    graph, root = _graph_of(rows, seen)
+    return graph, root, session
 
 
 def import_trace(data: bytes) -> tuple[Cteg, SessionId]:
-    """Parse and validate trace text; the exact inverse of `export_trace`.
+    """Parse and prove trace text; the exact inverse of `export_trace`.
+
+    The parsed rows are appended to a fresh `NodeTable`, whose row check is
+    the same proof a store's `load_session` relies on, and the trace is the
+    table's `to_cteg()`. Rows the table rejects, because they are invalid or
+    merely not listed parents first, take the reference path instead:
+    `parse_trace`'s representability checks, then the validating `Cteg(...)`,
+    so every accepted trace, error and diagnostic is the one that path gives.
 
     Raises TraceFormatError on malformed text and ValidationFailedError when
     the rows parse but do not form a valid CTEG.
     """
-    graph, root, session = parse_trace(data)
+    rows, seen, session = _parse_rows(data)
+    if rows:
+        table = NodeTable()
+        try:
+            table.append(rows)
+        except StoreError:
+            pass  # the reference path below accepts it or raises its error and diagnostics
+        else:
+            return table.to_cteg(), session
+    graph, root = _graph_of(rows, seen)
     return Cteg(graph, root), session

@@ -175,12 +175,19 @@ class TestNormalize:
         path = write_trace(tmp_path, "t.cteg", c)
         built = []
         check = TypedTemporalGraph.__post_init__
+        unchecked = TypedTemporalGraph._unchecked.__func__
 
         def counting(self):
             built.append(self)
             check(self)
 
-        with mock.patch.object(TypedTemporalGraph, "__post_init__", counting):
+        def counting_unchecked(cls, *fields):
+            built.append(unchecked(cls, *fields))
+            return built[-1]
+
+        with mock.patch.object(TypedTemporalGraph, "__post_init__", counting), mock.patch.object(
+            TypedTemporalGraph, "_unchecked", classmethod(counting_unchecked)
+        ):
             code, out, _ = run(capsys, "normalize", path)
         assert code == EXIT_OK and len(out.splitlines()) == 39
         assert built == [c.graph]

@@ -16,7 +16,9 @@ Covered claims:
       trace it returns does not change when the table grows, and a file
       store reopens to equal traces
     - loading a stored session and taking a session snapshot run no
-      `validate_cteg`; importing trace text runs it exactly once
+      `validate_cteg`; importing canonical trace text runs one table check
+      of the whole batch and no `validate_cteg`, while shuffled valid text
+      and invalid text that parses run `validate_cteg` exactly once
     - a payload that is not `bytes` is rejected with TypeError, admitting
       nothing
 """
@@ -41,6 +43,7 @@ from cteg import (
     NodeRecord,
     SessionId,
     UnknownNodeError,
+    ValidationFailedError,
     append_trace,
     begin_session,
     export_trace,
@@ -301,14 +304,30 @@ def test_load_and_snapshot_do_not_validate(tmp_path):
     assert validate_cteg(trace.graph, trace.root).ok
 
 
-def test_import_validates_exactly_once():
+def test_import_proves_exactly_once():
     s = _quiet_session()
-    s.emit(s.root, [(ty("a"), b""), (ty("b"), b"z")])
+    (a,) = s.emit(s.root, [(ty("a"), b"")])
+    s.emit(a, [(ty("b"), b"z"), (ty("c"), b"")])
     text = export_trace(s.snapshot(), s.id)
-    with _spy() as spy:
+    header, *lines = text.decode().splitlines()
+    shuffled = ("\n".join([header] + lines[::-1]) + "\n").encode()
+    lines[2] = lines[2].replace("\t2\t", "\t1\t")  # the child of `a` no later than `a`
+    invalid = ("\n".join([header] + lines) + "\n").encode()
+
+    checks = mock.patch.object(NodeTable, "check", autospec=True, side_effect=NodeTable.check)
+    with checks as check, _spy() as spy:
         trace, sid = import_trace(text)
-        assert spy.call_count == 1
+        assert check.call_count == 1 and len(check.call_args.args[1]) == len(lines)
+        assert spy.call_count == 0
     assert (trace, sid) == (s.snapshot(), s.id)
+
+    with _spy() as spy:
+        assert import_trace(shuffled) == (trace, sid)
+        assert spy.call_count == 1
+    with _spy() as spy:
+        with pytest.raises(ValidationFailedError, match="edge-timestamp"):
+            import_trace(invalid)
+        assert spy.call_count == 1
 
 
 @pytest.mark.parametrize("payload", [bytearray(b"ab"), "ab", memoryview(b"ab"), None])

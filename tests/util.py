@@ -31,7 +31,7 @@ from cteg import (
 )
 from cteg.core import graft
 from cteg.dynamics import StepLabel, _Budget, _seq_sort_key
-from cteg.persistence import graph_text
+from cteg.persistence import graph_text, parse_trace
 
 
 def aid(i: int) -> ActionId:
@@ -451,6 +451,17 @@ def reference_phi(
             break
         frontier = nxt
     return frozenset(result)
+
+
+# ---------------------------------------------------------------------------
+# Reference import: `import_trace` as it was before canonical text was proved
+# by a node table. It parses the text into a graph and validates the whole
+# graph in the public constructor.
+
+
+def reference_import_trace(data: bytes):
+    graph, root, session = parse_trace(data)
+    return Cteg(graph, root), session
 
 
 # ---------------------------------------------------------------------------
