@@ -560,8 +560,9 @@ class NodeTable:
     """Append-only node rows whose every prefix is a valid CTEG; owners serialize access.
 
     The one incremental check of the row invariant (parent present, fresh
-    id, strictly later timestamp, one root, bytes payload); `validate_cteg`
-    is the whole-graph reference. The check is the proof of `to_cteg`.
+    id, strictly later timestamp, one root, a `Timestamp`, an `EventType`
+    and a bytes payload per row); `validate_cteg` is the whole-graph
+    reference. The check is the proof of `to_cteg`.
     """
 
     __slots__ = ("rows", "t")
@@ -581,9 +582,13 @@ class NodeTable:
         """Check a batch (parents may come earlier in it); return its `{node: ts}`, admitting nothing."""
         t = self.t
         new: dict[ActionId, Timestamp] = {}
-        for node, parent, ts, _, payload in rows:
+        for node, parent, ts, event_type, payload in rows:
             if not isinstance(payload, bytes):
                 raise TypeError(f"payload of node {node.hex} must be bytes, not {type(payload).__name__}")
+            if not isinstance(ts, Timestamp):
+                raise TypeError(f"timestamp of node {node.hex} must be a Timestamp, not {type(ts).__name__}")
+            if not isinstance(event_type, EventType):
+                raise TypeError(f"type of node {node.hex} must be an EventType, not {type(event_type).__name__}")
             if node in t or node in new:
                 raise DuplicateNodeError(f"node {node.hex} is already in the table")
             if parent is None:

@@ -30,10 +30,11 @@ On top of the step semantics this module provides:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby, islice, permutations, product
-from operator import attrgetter, itemgetter
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from itertools import combinations_with_replacement, groupby, islice, permutations, product, repeat
+from operator import attrgetter, eq, itemgetter, le
+from typing import AbstractSet, NamedTuple
 
 from .core import (
     ActionId,
@@ -43,6 +44,7 @@ from .core import (
     Diagnostics,
     DisjointnessError,
     EventType,
+    NodeTable,
     Row,
     Timestamp,
     TypedTemporalGraph,
@@ -129,6 +131,67 @@ class Invocation:
 StepLabel = Emission | Invocation
 
 
+class _Lane:
+    """A graph's hash in the graph's place: a tuple of lanes hashes as the tuple of the graphs."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int) -> None:
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
+
+
+class _Prefixes(Sequence):
+    """The graphs of a row-backed execution sequence, each built only when asked.
+
+    Graph `k` is `graph_from_rows(rows[:marks[k]], type_set)`, so it declares
+    the types in use when `type_set` is None. Slices are views of the same
+    rows, and no built graph is kept. A view equals any tuple or view that
+    holds equal graphs and hashes as the tuple of its graphs, one graph at
+    a time. Two views with the same kind of type set and the same
+    nondecreasing marks are compared from their rows alone: the graph chains
+    are equal exactly when the declared type sets and the rows between
+    consecutive marks are equal as sets.
+    """
+
+    __slots__ = ("rows", "marks", "type_set")
+
+    def __init__(self, rows: Sequence[Row], marks: Sequence[int], type_set: frozenset[EventType] | None) -> None:
+        self.rows, self.marks, self.type_set = rows, marks, type_set
+
+    def __len__(self) -> int:
+        return len(self.marks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _Prefixes(self.rows, self.marks[k], self.type_set)
+        return graph_from_rows(islice(self.rows, self.marks[k]), self.type_set)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Prefixes):
+            if (self.type_set is None) is (other.type_set is None) and self._plain() and other._plain():
+                a, b = self.marks, other.marks
+                return (
+                    len(a) == len(b)
+                    and all(map(eq, a, b))
+                    and self.type_set == other.type_set
+                    and all(set(self.rows[lo:hi]) == set(other.rows[lo:hi]) for lo, hi in zip((0, *a), a))
+                )
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def _plain(self) -> bool:
+        """Whether the marks rise or stay, from 0 up to at most the number of rows."""
+        marks = self.marks
+        return all(map(le, (0, *marks), (*marks, len(self.rows))))
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(_Lane, map(hash, self))))
+
+
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ExecutionSequence:
     """A finite chain of typed temporal graphs, each extending the last.
@@ -141,14 +204,24 @@ class ExecutionSequence:
     element of the sequence space. The hash is computed on first use and
     then cached.
 
-    The constructor proves extension pair by pair. Chains the library builds
-    go through `_chain` and skip that proof, as they extend by construction:
-    prefixes of one append-only row list (`Session.history`, `e0_normalize`)
-    and an injectively renamed checked chain (`phi`'s members and graft
-    subtraces).
+    A sequence has one of two forms, and `graphs` is a sequence of graphs
+    in both, but a tuple only in the first:
+
+    - graph-backed: `graphs` is a tuple holding every graph. The public
+      constructor builds this form and proves extension pair by pair; `phi`
+      builds it through `_chain`, without the proof, from injectively
+      renamed checked chains.
+    - row-backed: one shared list of node-table rows, one mark (a row
+      count) per state, and an optional declared type set (`_rows`);
+      `Session.history` and `e0_normalize` build this form. A prefix of one
+      row list extends every shorter prefix, so nothing is proved. Its
+      length and marks need no graph; indexing, slicing, iteration and
+      `final` build each graph they return and keep none, so the sequence
+      costs memory linear in its rows. It equals, and hashes as, its
+      graph-backed copy.
     """
 
-    graphs: tuple[TypedTemporalGraph, ...]
+    graphs: Sequence[TypedTemporalGraph]
     steps: tuple[StepLabel, ...] | None = None
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -169,7 +242,7 @@ class ExecutionSequence:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _chain(cls, graphs: tuple[TypedTemporalGraph, ...], steps: tuple[StepLabel, ...] | None):
+    def _chain(cls, graphs: Sequence[TypedTemporalGraph], steps: tuple[StepLabel, ...] | None):
         """A chain that extends by construction, built without the per-pair proof."""
         s = object.__new__(cls)
         object.__setattr__(s, "graphs", graphs)
@@ -178,9 +251,9 @@ class ExecutionSequence:
         return s
 
     @classmethod
-    def _prefixes(cls, rows: Sequence[Row], marks: Iterable[int], steps: tuple[StepLabel, ...], type_set=None):
-        """The chain of `graph_from_rows(rows[:m], type_set)` for each mark `m`; each extends the last."""
-        return cls._chain(tuple(graph_from_rows(islice(rows, m), type_set) for m in marks), steps)
+    def _rows(cls, rows: Sequence[Row], marks: Sequence[int], steps: tuple[StepLabel, ...] | None, type_set=None):
+        """The row-backed chain of `graph_from_rows(rows[:m], type_set)` for each mark `m`."""
+        return cls._chain(_Prefixes(rows, marks, type_set), steps)
 
     @property
     def final(self) -> TypedTemporalGraph:
@@ -366,11 +439,12 @@ def e0_normalize(c: Cteg) -> ExecutionSequence:
     step, in nondecreasing timestamp order with node-id tie-breaking, each
     from its unique parent. The sequence therefore has exactly as many graphs
     as `c` has nodes: the prefixes of `projection_rows(c)`, each declaring
-    the type set of `c`.
+    the type set of `c`. It is row-backed (see `ExecutionSequence`), so it
+    costs memory linear in `c`, and a graph is built only when asked for.
     """
     rows = projection_rows(c)
     steps = tuple(Emission(parent, frozenset({node})) for node, parent, *_ in rows[1:])
-    return ExecutionSequence._prefixes(rows, range(1, len(rows) + 1), steps, c.graph.type_set)
+    return ExecutionSequence._rows(rows, range(1, len(rows) + 1), steps, c.graph.type_set)
 
 
 def replicate_as_e0_invocation(step: Invocation) -> Invocation:
@@ -402,17 +476,28 @@ def is_member_e_infinity(seq: ExecutionSequence) -> Diagnostics:
     grafted delta is a valid CTEG rooted at the attach node. The check runs
     witness-free on graph deltas, so step labels never influence the verdict.
     Every prefix of a member is again a member by construction.
+
+    A row-backed sequence is checked from its rows, in time linear in them
+    and without building a graph (`_row_proofs`); only a state or step that
+    its rows do not prove goes through the graphs, which decide it, and
+    their messages, exactly as for a graph-backed sequence.
     """
+    graphs = seq.graphs
+    proofs = _row_proofs(graphs) if isinstance(graphs, _Prefixes) else repeat(False)
     violations: list[Violation] = []
-    g0 = seq.graphs[0]
-    if not _is_trivial(g0):
-        violations.append(
-            Violation(
-                "initial-not-trivial",
-                f"initial graph has {len(g0.nodes)} nodes and {len(g0.edges)} edges, expected a single root",
+    if not next(proofs, False):
+        g0 = graphs[0]
+        if not _is_trivial(g0):
+            violations.append(
+                Violation(
+                    "initial-not-trivial",
+                    f"initial graph has {len(g0.nodes)} nodes and {len(g0.edges)} edges, expected a single root",
+                )
             )
-        )
-    for k, (g, g2) in enumerate(zip(seq.graphs, seq.graphs[1:])):
+    for k, proved in zip(range(len(graphs) - 1), proofs):
+        if proved:
+            continue
+        g, g2 = graphs[k], graphs[k + 1]
         if is_emission_step(g, g2) is not None:
             continue
         w = is_invocation_step(g, g2)
@@ -429,6 +514,55 @@ def is_member_e_infinity(seq: ExecutionSequence) -> Diagnostics:
             Violation("step-invalid", f"step {k}: neither an emission step nor an invocation step")
         )
     return Diagnostics(tuple(violations))
+
+
+def _row_proofs(view: _Prefixes) -> Iterator[bool]:
+    """Whether the rows alone prove the initial state, then each step, legal.
+
+    The initial state is proved when it is one parentless row. A step is
+    proved when its delta of rows is new and, where a type set is declared,
+    typed inside it, and is either an emission (every row hangs from one
+    earlier node and is later than it) or an invocation (the first row hangs
+    from an earlier node and is later than it, and the rows pass
+    `NodeTable.check` once that row is made the root). Whatever these prove,
+    the graph checks accept; what they do not prove is left to the graphs.
+    """
+    rows, type_set = view.rows, view.type_set
+    first: dict[ActionId, int] = {}  # each node's first row
+    indexed = 0
+    prev = None
+    for m in view.marks:
+        for j in range(indexed, min(m, len(rows))):
+            first.setdefault(rows[j][0], j)
+        indexed = max(indexed, m)
+        if prev is None:
+            yield m == 1 and len(rows) > 0 and rows[0][1] is None and (type_set is None or rows[0][3] in type_set)
+        else:
+            yield _delta_proved(rows, first, prev, m, type_set)
+        prev = m
+
+
+def _delta_proved(rows: Sequence[Row], first: dict[ActionId, int], lo: int, hi: int, type_set) -> bool:
+    delta = rows[lo:hi]
+    if not delta:
+        return False
+    for j, (node, _, _, event_type, _) in enumerate(delta, lo):
+        if first[node] != j or (type_set is not None and event_type not in type_set):
+            return False
+    node, p, ts, event_type, payload = delta[0]
+    i = first.get(p, lo)
+    if i >= lo:
+        return False
+    tp = rows[i][2].micros
+    if all(row[1] == p and tp < row[2].micros for row in delta):
+        return True
+    if not tp < ts.micros:
+        return False
+    try:
+        NodeTable().check([(node, None, ts, event_type, payload), *islice(delta, 1, None)])
+    except (CtegError, TypeError):
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ table the stores keep too, so an emit or a graft costs what it adds, not
 the size of the trace. The table checks each emitted batch row by row and
 each graft by its one new edge. No step re-validates the whole trace:
 those checks are the proof, so `snapshot` builds the graph from the rows
-once per change and does not validate it again. `history` is materialised
-on demand, one graph per state from a prefix of the rows, and an
-invocation label carries the settled child's own history. It skips the
-execution sequence's pair-by-pair extension proof: a prefix of the
-append-only rows extends every shorter one.
+once per change and does not validate it again. `history` is a row-backed
+execution sequence over the table's own rows, one mark per state, and an
+invocation label carries the settled child's own history. It builds no
+graph per state and skips the pair-by-pair extension proof: a prefix of
+the append-only rows extends every shorter one.
 
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
@@ -204,13 +204,21 @@ class Session:
             return self._snapshot
 
     def history(self) -> ExecutionSequence:
-        """Every state the trace has passed through, with step labels, built on demand."""
+        """Every state the trace has passed through, with step labels.
+
+        Row-backed (see `ExecutionSequence`): it shares the table's rows,
+        which only grow, and keeps the row count of each state, so it costs
+        memory linear in the trace and builds a state's graph only when
+        asked. Graph `k` declares the types in use in state `k`. Each
+        invocation label carries the settled child's history and builds
+        that child's final graph once.
+        """
         with self._lock:
             labels = tuple(
                 step if isinstance(step, Emission) else Invocation(step[0], step[1].history(), step[1].root)
                 for step in self._steps
             )
-            return ExecutionSequence._prefixes(self._table.rows, self._marks, labels)
+            return ExecutionSequence._rows(self._table.rows, tuple(self._marks), labels)
 
     def emit(self, parent: ActionId, events: Sequence[tuple[EventType, bytes]]) -> list[ActionId]:
         """Add one batch of typed events as children of `parent`.

@@ -19,8 +19,9 @@ Covered claims:
       `validate_cteg`; importing canonical trace text runs one table check
       of the whole batch and no `validate_cteg`, while shuffled valid text
       and invalid text that parses run `validate_cteg` exactly once
-    - a payload that is not `bytes` is rejected with TypeError, admitting
-      nothing
+    - a payload that is not `bytes`, a timestamp that is not a `Timestamp`
+      and a type that is not an `EventType` are rejected with TypeError,
+      admitting nothing
 """
 
 import tempfile
@@ -339,3 +340,16 @@ def test_a_payload_that_is_not_bytes_is_rejected(payload):
     with pytest.raises(TypeError, match="must be bytes"):
         table.append([(aid(2), aid(1), ts(1), ty("evt"), b""), (aid(3), aid(1), ts(1), ty("evt"), payload)])
     assert table.rows == [(aid(1), None, ts(0), ty("evt"), b"")] and table.t == {aid(1): ts(0)}
+
+
+@pytest.mark.parametrize("field, value, name", [(2, 0, "Timestamp, not int"), (3, "evt", "EventType, not str"), (2, None, "Timestamp, not NoneType")])
+def test_a_timestamp_or_type_that_is_not_ours_is_rejected(field, value, name):
+    table = NodeTable()
+    root = (aid(1), None, ts(0), ty("evt"), b"")
+    with pytest.raises(TypeError, match=f"must be an? {name}"):
+        table.append([(*root[:field], value, *root[field + 1 :])])
+    table.append([root])
+    child = (aid(2), aid(1), ts(1), ty("evt"), b"")
+    with pytest.raises(TypeError, match=f"must be an? {name}"):
+        table.append([child, (*child[:field], value, *child[field + 1 :])])
+    assert table.rows == [root] and table.t == {aid(1): ts(0)}

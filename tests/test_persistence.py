@@ -2,7 +2,9 @@
 
 Covered claims:
     - both stores enforce registration, parent-before-child order, strict
-      timestamps, single roots and unique node ids at append time
+      timestamps, single roots and unique node ids at append time, and
+      reject a timestamp, type or payload of the wrong class with
+      TypeError; the file store then writes nothing
     - reconstruction by pointer resolution is the exact inverse of writing
     - the file store replays its log on open, rejects semantic corruption,
       cuts off a torn trailing record, and every record-boundary prefix of
@@ -154,6 +156,30 @@ class TestAppend:
             store.append_node(record(s, 1, None, 0, payload))
         store.append_node(record(s, 1, None, 0, b"ab"))
         assert store.load_session(s).graph.payloads == {aid(1): b"ab"}
+
+    @pytest.mark.parametrize("field", ["timestamp", "event_type"])
+    def test_timestamp_or_type_that_is_not_ours_rejected(self, store, field):
+        s = store.register_session(sid(1))
+        good = record(s, 1, None, 5)
+        bad = NodeRecord(**{**vars(good), field: 5 if field == "timestamp" else "evt"})
+        with pytest.raises(TypeError, match="must be an? (Timestamp|EventType), not (int|str)"):
+            store.append_node(bad)
+        store.append_node(good)
+        assert store.load_session(s).graph.t == {aid(1): ts(5)}
+
+    @pytest.mark.parametrize("field", ["timestamp", "event_type"])
+    def test_file_store_writes_nothing_for_a_foreign_timestamp_or_type(self, tmp_path, field):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+            s = store.register_session(sid(1))
+            size = path.stat().st_size
+            good = record(s, 1, None, 5)
+            with pytest.raises(TypeError):
+                store.append_node(NodeRecord(**{**vars(good), field: 5 if field == "timestamp" else "evt"}))
+            assert path.stat().st_size == size
+            store.append_node(good)
+        with FileStore(path) as reopened:
+            assert reopened.load_session(s).graph.t == {aid(1): ts(5)}
 
     def test_payload_cap_enforced(self, tmp_path):
         small = MemoryStore(payload_cap=4)

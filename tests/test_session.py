@@ -17,7 +17,8 @@ Covered claims:
     - rejected emits and grafts raise today's error classes and leave the
       trace and its history unchanged; a payload that is not `bytes` is
       rejected with TypeError wherever a session takes one, so a snapshot
-      never shares a caller's mutable buffer
+      never shares a caller's mutable buffer, and so is a type that is not
+      an `EventType`, so every snapshot exports and commits
 """
 
 import random
@@ -46,9 +47,13 @@ from cteg import (
     apply_emission,
     apply_invocation,
     begin_session,
+    export_trace,
     height,
+    import_trace,
     is_member_e_infinity,
+    merkle_root,
     validate_cteg,
+    verify_commitment,
 )
 from util import aid, counting_subgraph_proofs, ty
 
@@ -440,6 +445,22 @@ class TestRejectedSteps:
         with pytest.raises(TypeError, match="must be bytes"):
             s.invoke_subagent(s.root, ty("sub"), payload=payload)
         assert s.snapshot() == before
+
+    def test_a_type_that_is_not_an_event_type_is_rejected(self):
+        with pytest.raises(TypeError, match="must be an EventType, not str"):
+            begin_session("task")
+        s = begin_session(ty("task"), wall_clock=frozen_clock(), id_factory=scripted_ids(*range(1, 10)))
+        before, history = s.snapshot(), s.history()
+        with pytest.raises(TypeError, match="must be an EventType, not str"):
+            s.emit(s.root, [("tool", b"")])
+        with pytest.raises(TypeError, match="must be an EventType, not str"):
+            s.invoke_subagent(s.root, "sub")
+        assert s.snapshot() == before
+        assert s.history() == history
+        (node,) = s.emit(s.root, [(ty("tool"), b"")])
+        assert s.snapshot().graph.t[node] == Timestamp(1)  # the rejected batch issued no time
+        assert import_trace(export_trace(s.snapshot(), s.id)) == (s.snapshot(), s.id)
+        assert verify_commitment(s.snapshot(), merkle_root(s.snapshot()))
 
     def test_graft_of_a_child_sharing_an_id_changes_nothing(self):
         # session 1 with root 2 emits node 3; child session 4 with root 5 emits node 3 again
