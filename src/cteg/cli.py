@@ -23,7 +23,6 @@ from .core import (
     ValidationFailedError,
     height,
     projection_rows,
-    temporal_projection,
 )
 from .dynamics import BudgetExceededError, UniverseBounds, phi
 from .persistence import TraceFormatError, export_trace, import_trace
@@ -144,7 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    print(f"nodes={len(trace.graph.nodes)} height={height(trace)} merkle={merkle_root(trace).hex}")
+    print(f"nodes={len(projection_rows(trace))} height={height(trace)} merkle={merkle_root(trace).hex}")
     return EXIT_OK
 
 
@@ -152,7 +151,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace, code = _load_for_command(args.file, sys.stdout)
     if trace is None:
         return code
-    print(f"nodes={len(trace.graph.nodes)} height={height(trace)} root_ts={trace.graph.t[trace.root].micros}")
+    rows = projection_rows(trace)
+    print(f"nodes={len(rows)} height={height(trace)} root_ts={rows[0][2].micros}")
     return EXIT_OK
 
 
@@ -178,8 +178,8 @@ def cmd_project(args: argparse.Namespace) -> int:
     trace, code = _load_for_command(args.file, sys.stderr)
     if trace is None:
         return code
-    for n in temporal_projection(trace):
-        print(f"{n.hex}\t{trace.graph.t[n].micros}\t{trace.graph.tau[n].name}")
+    for node, _, ts, event_type, _ in projection_rows(trace):
+        print(f"{node.hex}\t{ts.micros}\t{event_type.name}")
     return EXIT_OK
 
 

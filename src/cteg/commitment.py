@@ -88,7 +88,7 @@ def merkle_root(c: Cteg) -> Digest:
     projection rows backwards, in descending (timestamp, id) order, reaches
     every child before its parent and collects each node's child digests in
     reverse canonical order. The root comes last. The walk reads the trace's
-    cached rows, so it neither sorts nor builds a parent map.
+    own rows, so it neither sorts nor builds a graph or a parent map.
     """
     below: dict[ActionId, list[bytes]] = {}
     digest = b""

@@ -10,20 +10,18 @@ This module holds the value types plus the static operations on them:
 diagnostic validation, the unique root-to-node path, grafting and the
 strict-timestamp compatibility rule for composing two CTEGs, temporal
 projection, longest-path height and a canonical one-line text of a graph.
-`graph_from_rows` and `projection_rows` are the only conversions between
-node-table rows and graphs. Every value is immutable after
+`graph_from_rows` turns node-table rows into a graph, and the public `Cteg`
+constructor a graph into rows. Every value is immutable after
 construction and all operations are pure, so everything here is safe to
 share between threads without synchronization.
 
 The one mutable exception is `NodeTable`, the append-only node table that
 sessions, stores and trace import keep their rows in; every prefix of its
-rows is a CTEG. A `Cteg` is proved either row by row by a `NodeTable`, whose
-`to_cteg` therefore builds the trace without validating it again, or by its
-public constructor, which validates the whole graph with diagnostics and is
-the reference the table is tested against. A trace computes its temporal
-projection rows at most once, and `to_cteg` hands over table rows that are
-already in projection order, so a canonical import, or a store session
-written by `append_trace`, is never sorted.
+rows is a CTEG. A `Cteg` is its rows in temporal projection order, its root
+and its declared type set; its graph is built only when asked for. It is
+proved row by row by a `NodeTable`, whose `to_cteg` does not validate it
+again, or by its public constructor, which validates the whole graph with
+diagnostics and is the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import islice
-from operator import attrgetter, lt
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -189,9 +187,8 @@ class ActionId(_OpaqueId):
 
 
 # Sorting on the raw bytes orders ids exactly as their own comparison does,
-# without a Python-level comparison per step; the same holds for timestamps.
+# without a Python-level comparison per step.
 _id_bytes = attrgetter("value")
-_micros = attrgetter("micros")
 
 
 _TS_MIN = -(2**63)
@@ -454,61 +451,86 @@ class TypedTemporalGraph:
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cteg:
-    """A validated causal-temporal event graph together with its causal root.
+    """A valid causal-temporal event graph: its root, its declared type set and its rows.
 
-    Holding a Cteg is proof of well-formedness, proved one of two ways:
-    `NodeTable.to_cteg` builds one from rows its own row-by-row check
-    already proved, without validating them again, while the public
-    constructor runs full validation and raises ValidationFailedError on any
-    defect. Next to the parent map, a trace caches its projection rows, which
-    `projection_rows`, `temporal_projection`, export, store append and the
-    Merkle receipt all read; `to_cteg` seeds them when its rows are already
-    in projection order.
+    One row (node, parent or None, timestamp, type, payload) per node, in
+    projection order (see `projection_rows`); the type set may name types no
+    node uses. Holding a Cteg is proof of well-formedness: the public
+    constructor validates a graph, raising ValidationFailedError on any
+    defect, and keeps it; `NodeTable.to_cteg` orders rows its own check
+    proved. `graph` and `parent_map` are built from the rows on first use.
+    Traces are equal when their roots, type sets and rows are, which for
+    valid traces is exactly equality of their graphs.
     """
 
-    graph: TypedTemporalGraph
-    root: ActionId
+    __slots__ = ("root", "_rows", "_types", "_graph", "_parents")
 
-    def __post_init__(self) -> None:
-        diag = validate_cteg(self.graph, self.root)
+    def __init__(self, graph: TypedTemporalGraph, root: ActionId) -> None:
+        diag = validate_cteg(graph, root)
         if not diag.ok:
             raise ValidationFailedError(diag)
-        object.__setattr__(self, "_parents", None)
-        object.__setattr__(self, "_rows", None)
+        parents = {b: a for a, b in graph.edges}
+        t, tau, payloads = graph.t, graph.tau, graph.payloads
+        rows = _in_projection_order([(n, parents.get(n), t[n], tau[n], payloads[n]) for n in t])
+        self._fill(root, rows, graph.type_set, graph, parents)
 
     @classmethod
-    def _proved(cls, graph: TypedTemporalGraph, root: ActionId, rows: tuple[Row, ...] | None = None) -> "Cteg":
-        """A trace the caller has already proved valid, stored without validation.
-
-        `rows`, when given, must be the trace's rows in projection order.
-        """
+    def _proved(cls, rows: tuple[Row, ...], type_set: frozenset[EventType]) -> "Cteg":
+        """The trace of rows already proved valid and in projection order, stored without validation."""
         c = object.__new__(cls)
-        vars(c).update(graph=graph, root=root, _parents=None, _rows=rows)
+        c._fill(rows[0][0], rows, type_set, None, None)
         return c
 
+    def _fill(self, *values) -> None:
+        for name, value in zip(Cteg.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError("Cteg is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Cteg._proved, (self._rows, self._types))
+
+    @property
+    def graph(self) -> TypedTemporalGraph:
+        """The trace as a typed temporal graph, built on first access."""
+        g = self._graph
+        if g is None:
+            g = graph_from_rows(self._rows, self._types)
+            object.__setattr__(self, "_graph", g)
+        return g
+
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Cteg):
             return NotImplemented
-        return self.root == other.root and self.graph == other.graph
+        return self.root == other.root and self._types == other._types and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.graph, self.root))
+        return hash((self.root, self._types, self._rows))
 
     def __repr__(self) -> str:
-        return f"Cteg(root={self.root.hex[:8]}, nodes={len(self.graph.nodes)})"
+        return f"Cteg(root={self.root.hex[:8]}, nodes={len(self._rows)})"
 
     def parent_map(self) -> dict[ActionId, ActionId]:
         """Unique parent of every non-root node."""
-        cached = self._parents  # type: ignore[attr-defined]
-        if cached is None:
-            cached = {b: a for a, b in self.graph.edges}
-            object.__setattr__(self, "_parents", cached)
-        return cached
+        parents = self._parents
+        if parents is None:
+            parents = {row[0]: row[1] for row in islice(self._rows, 1, None)}
+            object.__setattr__(self, "_parents", parents)
+        return parents
 
 
 Row = tuple[ActionId, ActionId | None, Timestamp, EventType, bytes]
+
+
+def _in_projection_order(rows: Iterable[Row]) -> tuple[Row, ...]:
+    """The rows sorted by (timestamp, id): one keyed sort, linear when they already are in that order."""
+    return tuple(sorted(rows, key=lambda row: (row[2].micros, row[0].value)))
 
 
 def graph_from_rows(rows: Iterable[Row], type_set: Iterable[EventType] | None = None) -> TypedTemporalGraph:
@@ -532,28 +554,14 @@ def graph_from_rows(rows: Iterable[Row], type_set: Iterable[EventType] | None = 
     return TypedTemporalGraph(frozenset(t), frozenset(edges), t, tau, types, payloads)
 
 
-def _projection(c: Cteg) -> tuple[Row, ...]:
-    """The trace's cached rows in projection order, computed on first use."""
-    rows = c._rows  # type: ignore[attr-defined]
-    if rows is None:
-        g, parents = c.graph, c.parent_map()
-        t, tau, payloads = g.t, g.tau, g.payloads
-        # Two stable sorts with keys computed in C: by id, then by microseconds.
-        order = sorted(t, key=_id_bytes)
-        order.sort(key=dict(zip(t, map(_micros, t.values()))).__getitem__)
-        rows = tuple([(n, parents.get(n), t[n], tau[n], payloads[n]) for n in order])
-        object.__setattr__(c, "_rows", rows)
-    return rows
-
-
 def projection_rows(c: Cteg) -> list[Row]:
     """The trace's rows in temporal projection order, so every parent comes first.
 
     Timestamps rise strictly along every edge, so sorting the rows by
     (timestamp, node id) lists each parent before its children. The list is
-    fresh on every call; the order behind it is computed once per trace.
+    a fresh copy of the trace's own rows.
     """
-    return list(_projection(c))
+    return list(c._rows)
 
 
 class NodeTable:
@@ -627,28 +635,13 @@ class NodeTable:
         self.t.update(child.t)
 
     def to_cteg(self) -> Cteg:
-        """The table's trace, rooted at its first row, built without a second proof.
+        """The table's trace, built without a second proof; it declares the types in use.
 
-        The row check is the proof: the first row is the only parentless one,
-        so the other rows' parent pointers are the edges. When the rows are
-        already in strict (timestamp, id) order, as a canonical export or a
-        store session written by `append_trace` lists them, they are the
-        trace's projection rows; one scan finds that out and seeds the
-        trace's cache with them, so it never sorts.
+        The row check is the proof, and the sort into projection order is
+        linear on rows already in it, as canonical text and stores list them.
         """
         rows = self.rows
-        nodes, parents, stamps, types, payloads = zip(*rows)
-        graph = TypedTemporalGraph._unchecked(
-            frozenset(nodes),
-            frozenset(zip(parents[1:], nodes[1:])),
-            dict(self.t),
-            dict(zip(nodes, types)),
-            frozenset(types),
-            dict(zip(nodes, payloads)),
-        )
-        keys = [(ts.micros, n.value) for n, ts in zip(nodes, stamps)]
-        ordered = all(map(lt, keys, islice(keys, 1, None)))
-        return Cteg._proved(graph, nodes[0], tuple(rows) if ordered else None)
+        return Cteg._proved(_in_projection_order(rows), frozenset(map(itemgetter(3), rows)))
 
 
 def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:
@@ -722,9 +715,9 @@ def validate_cteg(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:
 
 def causal_path(c: Cteg, n: ActionId) -> tuple[ActionId, ...]:
     """The unique directed path from the root to `n`, inclusive on both ends."""
-    if n not in c.graph.nodes:
-        raise UnknownNodeError(f"node {n.hex} is not in the graph")
     parents = c.parent_map()
+    if n not in parents and n != c.root:
+        raise UnknownNodeError(f"node {n.hex} is not in the graph")
     path = [n]
     while path[-1] != c.root:
         path.append(parents[path[-1]])
@@ -783,20 +776,15 @@ def temporal_projection(c: Cteg) -> tuple[ActionId, ...]:
     Ties are broken by ascending node id so the projection is a deterministic
     function of the graph. It is the node column of `projection_rows`.
     """
-    return tuple([row[0] for row in _projection(c)])
+    return tuple(map(itemgetter(0), c._rows))
 
 
 def height(c: Cteg) -> int:
     """Edge count of the longest root-to-leaf path."""
-    children = c.graph.children_map()
-    best = 0
-    stack = [(c.root, 0)]
-    while stack:
-        n, d = stack.pop()
-        best = max(best, d)
-        for ch in children[n]:
-            stack.append((ch, d + 1))
-    return best
+    depth = {c.root: 0}
+    for row in islice(c._rows, 1, None):  # every parent comes first
+        depth[row[0]] = depth[row[1]] + 1
+    return max(depth.values())
 
 
 def graph_text(g: TypedTemporalGraph) -> str:

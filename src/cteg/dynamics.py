@@ -54,7 +54,6 @@ from .core import (
     graft,
     graph_from_rows,
     graph_text,
-    projection_rows,
     validate_cteg,
 )
 
@@ -126,6 +125,13 @@ class Invocation:
             raise AttachPointError(f"attach node {self.attach.hex} is not in the sub-execution's final graph")
         if final.in_degree(self.attach) != 0:
             raise AttachPointError(f"attach node {self.attach.hex} does not have in-degree zero")
+
+    @classmethod
+    def _proved(cls, root: ActionId, subtrace: "ExecutionSequence", attach: ActionId) -> "Invocation":
+        """A label whose attach node is known valid, as a settled child's root is; its final graph is not built."""
+        label = object.__new__(cls)
+        vars(label).update(root=root, subtrace=subtrace, attach=attach)
+        return label
 
 
 StepLabel = Emission | Invocation
@@ -439,12 +445,13 @@ def e0_normalize(c: Cteg) -> ExecutionSequence:
     step, in nondecreasing timestamp order with node-id tie-breaking, each
     from its unique parent. The sequence therefore has exactly as many graphs
     as `c` has nodes: the prefixes of `projection_rows(c)`, each declaring
-    the type set of `c`. It is row-backed (see `ExecutionSequence`), so it
-    costs memory linear in `c`, and a graph is built only when asked for.
+    the type set of `c`. It is row-backed (see `ExecutionSequence`) and
+    shares the trace's own rows, so it costs memory linear in `c`, and a
+    graph is built only when asked for.
     """
-    rows = projection_rows(c)
-    steps = tuple(Emission(parent, frozenset({node})) for node, parent, *_ in rows[1:])
-    return ExecutionSequence._rows(rows, range(1, len(rows) + 1), steps, c.graph.type_set)
+    rows = c._rows
+    steps = tuple(Emission(parent, frozenset({node})) for node, parent, *_ in islice(rows, 1, None))
+    return ExecutionSequence._rows(rows, range(1, len(rows) + 1), steps, c._types)
 
 
 def replicate_as_e0_invocation(step: Invocation) -> Invocation:

@@ -26,8 +26,8 @@ exports coincides with equality of the traces they encode (given equal
 session ids). Import appends the parsed rows to a fresh `NodeTable`, the
 same proof a store's `load_session` relies on; only text the table rejects
 is validated whole by `Cteg(...)`, which also gives its diagnostics.
-Export and `append_trace` read the trace's cached projection rows, which a
-canonical import already has in place.
+A trace is its rows in projection order, so export and `append_trace`
+read them as they are and build no graph.
 """
 
 from __future__ import annotations
@@ -386,8 +386,8 @@ def append_trace(store: MemoryStore, session_id: SessionId, c: Cteg) -> None:
 
     Temporal projection order guarantees every parent row precedes its
     children, so the batch passes the store's check; the rows are the
-    trace's cached projection rows. The batch is admitted whole or not at
-    all. The session must already be registered.
+    trace's own. The batch is admitted whole or not at all. The session
+    must already be registered.
     """
     store._append_rows(session_id, projection_rows(c))
 

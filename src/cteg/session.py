@@ -18,7 +18,7 @@ A session keeps its trace in a `core.NodeTable`, the append-only node
 table the stores keep too, so an emit or a graft costs what it adds, not
 the size of the trace. The table checks each emitted batch row by row and
 each graft by its one new edge. No step re-validates the whole trace:
-those checks are the proof, so `snapshot` builds the graph from the rows
+those checks are the proof, so `snapshot` builds the trace from the rows
 once per change and does not validate it again. `history` is a row-backed
 execution sequence over the table's own rows, one mark per state, and an
 invocation label carries the settled child's own history. It builds no
@@ -210,12 +210,12 @@ class Session:
         which only grow, and keeps the row count of each state, so it costs
         memory linear in the trace and builds a state's graph only when
         asked. Graph `k` declares the types in use in state `k`. Each
-        invocation label carries the settled child's history and builds
-        that child's final graph once.
+        invocation label carries the settled child's history; its attach
+        node is the child's root, so no graph is built to check it.
         """
         with self._lock:
             labels = tuple(
-                step if isinstance(step, Emission) else Invocation(step[0], step[1].history(), step[1].root)
+                step if isinstance(step, Emission) else Invocation._proved(step[0], step[1].history(), step[1].root)
                 for step in self._steps
             )
             return ExecutionSequence._rows(self._table.rows, tuple(self._marks), labels)

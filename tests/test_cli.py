@@ -9,12 +9,11 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
-from cteg import SessionId, TypedTemporalGraph, export_trace, import_trace
+from cteg import SessionId, export_trace, import_trace
 from cteg.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, SimulationConfig, main, run_simulation
 from cteg.dynamics import Emission
-from util import cteg, hexid, random_cteg
+from util import counting_graphs, cteg, hexid, random_cteg
 
 GOLDEN_ROOT_ONLY = "59b8e2b1f34c5df4b4b651aca55fae73515f21101b14c1e0332e79e47aeb8fc1"
 
@@ -170,27 +169,14 @@ class TestNormalize:
         _, out, _ = run(capsys, "normalize", path)
         assert len(out.strip().splitlines()) == 16
 
-    def test_builds_only_the_graph_its_import_builds(self, tmp_path, capsys):
+    def test_builds_no_graph(self, tmp_path, capsys):
         c = random_cteg(random.Random(7), 40)
         path = write_trace(tmp_path, "t.cteg", c)
-        built = []
-        check = TypedTemporalGraph.__post_init__
-        unchecked = TypedTemporalGraph._unchecked.__func__
-
-        def counting(self):
-            built.append(self)
-            check(self)
-
-        def counting_unchecked(cls, *fields):
-            built.append(unchecked(cls, *fields))
-            return built[-1]
-
-        with mock.patch.object(TypedTemporalGraph, "__post_init__", counting), mock.patch.object(
-            TypedTemporalGraph, "_unchecked", classmethod(counting_unchecked)
-        ):
+        built, patch = counting_graphs()
+        with patch:
             code, out, _ = run(capsys, "normalize", path)
         assert code == EXIT_OK and len(out.splitlines()) == 39
-        assert built == [c.graph]
+        assert built == []
 
 
 class TestProject:

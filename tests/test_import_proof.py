@@ -184,7 +184,7 @@ def test_every_trace_projects_once_and_as_defined(s, built):
                 append_trace(target, sid, imported)
         with FileStore(path) as reopened:
             loaded = [memory.load_session(sid), reopened.load_session(sid)]
-    # Canonical text and stores written by `append_trace` list the rows in projection order: nothing sorts them.
+    # A trace keeps its rows in projection order however it was built; these came from a node table.
     assert all(c._rows is not None for c in [imported] + loaded)
     for c in traces + loaded:
         _assert_projection(c)

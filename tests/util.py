@@ -547,6 +547,26 @@ def counting_subgraph_proofs():
     return calls, mock.patch.object(TypedTemporalGraph, "is_subgraph_of", counting)
 
 
+def counting_graphs():
+    """A list and a patch that appends every graph built, checked or not."""
+    built = []
+    check = TypedTemporalGraph.__post_init__
+    unchecked = TypedTemporalGraph._unchecked.__func__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    def counting_unchecked(cls, *fields):
+        built.append(unchecked(cls, *fields))
+        return built[-1]
+
+    patch = mock.patch.multiple(
+        TypedTemporalGraph, __post_init__=counting, _unchecked=classmethod(counting_unchecked)
+    )
+    return built, patch
+
+
 # ---------------------------------------------------------------------------
 # Store file walking (independent of the persistence decoder).
 
