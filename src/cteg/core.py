@@ -641,7 +641,10 @@ class NodeTable:
         linear on rows already in it, as canonical text and stores list them.
         """
         rows = self.rows
-        return Cteg._proved(_in_projection_order(rows), frozenset(map(itemgetter(3), rows)))
+        kinds = list(map(itemgetter(3), rows))
+        # A trace holds few type objects, so they are deduplicated by identity before any is hashed.
+        types = frozenset(dict(zip(map(id, kinds), kinds)).values())
+        return Cteg._proved(_in_projection_order(rows), types)
 
 
 def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:

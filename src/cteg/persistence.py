@@ -2,10 +2,10 @@
 
 A trace persists as rows of a node table: node id, session id, optional
 parent pointer, timestamp, event type and an opaque payload. The stores are
-append-only by design, and their write unit is a batch of one session's
-rows: `append_node` appends a batch of one, `append_trace` a whole trace.
-Each session's rows live in a `core.NodeTable`, the same table a live
-session keeps, so the store checks only what is its own (registered
+append-only by design, and their one write of rows is `append_rows`: a
+batch of one session's rows, `append_trace` being the batch of a whole
+trace. Each session's rows live in a `core.NodeTable`, the same table a
+live session keeps, so the store checks only what is its own (registered
 session, payload cap) and the table checks the batch (parents present,
 fresh ids, strictly increasing timestamps, single root). A batch is
 admitted whole or not at all, so every per-session reconstruction is a
@@ -23,11 +23,12 @@ The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
 order, with base64 payloads. Export is canonical, so byte equality of two
 exports coincides with equality of the traces they encode (given equal
-session ids). Import appends the parsed rows to a fresh `NodeTable`, the
-same proof a store's `load_session` relies on; only text the table rejects
-is validated whole by `Cteg(...)`, which also gives its diagnostics.
-A trace is its rows in projection order, so export and `append_trace`
-read them as they are and build no graph.
+session ids). Import sorts the parsed rows into projection order and
+appends them to a fresh `NodeTable`, the same proof a store's
+`load_session` relies on; text the table rejects is validated whole by
+`Cteg(...)` only to raise its error and diagnostics. A trace is its rows
+in projection order, so export and `append_trace` read them as they are
+and build no graph.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .core import (
     TimestampOrderError,
     TypedTemporalGraph,
     UnknownParentError,
+    _in_projection_order,
     graph_from_rows,
     graph_text,
     projection_rows,
@@ -75,7 +77,6 @@ __all__ = [
     "CorruptStoreError",
     "TraceFormatError",
     "DEFAULT_PAYLOAD_CAP",
-    "NodeRecord",
     "MemoryStore",
     "FileStore",
     "OpenReport",
@@ -118,18 +119,6 @@ if not _logger.handlers:
     _logger.addHandler(logging.NullHandler())  # the application decides what reaches stderr
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """One row of the append-only node table."""
-
-    node_id: ActionId
-    session_id: SessionId
-    parent_id: ActionId | None
-    timestamp: Timestamp
-    event_type: EventType
-    payload: bytes = b""
-
-
 class MemoryStore:
     """Append-only in-memory store: one node table per registered session.
 
@@ -154,12 +143,13 @@ class MemoryStore:
             self._tables[sid] = NodeTable()
             return sid
 
-    def append_node(self, rec: NodeRecord) -> None:
-        """Append one node row as a batch of one; its payload must fit the cap."""
-        self._append_rows(rec.session_id, ((rec.node_id, rec.parent_id, rec.timestamp, rec.event_type, rec.payload),))
+    def append_rows(self, session_id: SessionId, rows: Sequence[Row]) -> None:
+        """Check a batch of one session's rows, write it, then admit it whole.
 
-    def _append_rows(self, session_id: SessionId, rows: Sequence[Row]) -> None:
-        """Check a batch of one session's rows, write it, then admit it whole."""
+        Each row is (node, parent or None, timestamp, type, payload); a
+        parent may come earlier in the batch, and every payload must fit
+        the cap.
+        """
         with self._lock:
             cap = self._payload_cap
             big = next((len(p) for *_, p in rows if len(p) > cap), None)
@@ -389,7 +379,7 @@ def append_trace(store: MemoryStore, session_id: SessionId, c: Cteg) -> None:
     trace's own. The batch is admitted whole or not at all. The session
     must already be registered.
     """
-    store._append_rows(session_id, projection_rows(c))
+    store.append_rows(session_id, projection_rows(c))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +415,7 @@ def _parse_id(field: str, what: str) -> ActionId:
 
 
 def _parse_rows(data: bytes) -> tuple[list[Row], set[ActionId], SessionId]:
-    """The text's node rows in file order, their node ids and the session id; each line is checked on its own."""
+    """The text's node rows in file order, at least one, their ids and the session id; each line is checked on its own."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -472,13 +462,13 @@ def _parse_rows(data: bytes) -> tuple[list[Row], set[ActionId], SessionId]:
         seen.add(node)
         ids[node_field] = node
         rows.append((node, parent, ts, event_type, payload))
+    if not rows:
+        raise TraceFormatError("trace has a header but no node rows")
     return rows, seen, session
 
 
 def _graph_of(rows: list[Row], seen: set[ActionId]) -> tuple[TypedTemporalGraph, ActionId]:
     """The rows' unvalidated graph and root candidate, once the rows can represent one."""
-    if not rows:
-        raise TraceFormatError("trace has a header but no node rows")
     roots = [node for node, parent, *_ in rows if parent is None]
     if not roots:
         raise TraceFormatError("trace has no parentless root row")
@@ -507,24 +497,25 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
 def import_trace(data: bytes) -> tuple[Cteg, SessionId]:
     """Parse and prove trace text; the exact inverse of `export_trace`.
 
-    The parsed rows are appended to a fresh `NodeTable`, whose row check is
-    the same proof a store's `load_session` relies on, and the trace is the
-    table's `to_cteg()`. Rows the table rejects, because they are invalid or
-    merely not listed parents first, take the reference path instead:
-    `parse_trace`'s representability checks, then the validating `Cteg(...)`,
-    so every accepted trace, error and diagnostic is the one that path gives.
+    The parsed rows, sorted into projection order, are appended to a fresh
+    `NodeTable`, whose row check is the same proof a store's `load_session`
+    relies on, and the trace is the table's `to_cteg()`. Sorted rows of a
+    valid trace list each parent first, so the table accepts valid text in
+    any row order. Text it rejects takes the reference path on its rows in
+    file order, only for the error: `parse_trace`'s representability
+    checks, then the validating `Cteg(...)` with its diagnostics.
 
     Raises TraceFormatError on malformed text and ValidationFailedError when
     the rows parse but do not form a valid CTEG.
     """
     rows, seen, session = _parse_rows(data)
-    if rows:
-        table = NodeTable()
-        try:
-            table.append(rows)
-        except StoreError:
-            pass  # the reference path below accepts it or raises its error and diagnostics
-        else:
-            return table.to_cteg(), session
+    table = NodeTable()
+    try:
+        table.append(_in_projection_order(rows))
+    except StoreError as exc:
+        rejected = exc
+    else:
+        return table.to_cteg(), session
     graph, root = _graph_of(rows, seen)
-    return Cteg(graph, root), session
+    Cteg(graph, root)  # raises: a CTEG's sorted rows pass the table
+    raise rejected

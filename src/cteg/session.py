@@ -19,11 +19,14 @@ table the stores keep too, so an emit or a graft costs what it adds, not
 the size of the trace. The table checks each emitted batch row by row and
 each graft by its one new edge. No step re-validates the whole trace:
 those checks are the proof, so `snapshot` builds the trace from the rows
-once per change and does not validate it again. `history` is a row-backed
-execution sequence over the table's own rows, one mark per state, and an
-invocation label carries the settled child's own history. It builds no
-graph per state and skips the pair-by-pair extension proof: a prefix of
-the append-only rows extends every shorter one.
+once per change and does not validate it again. Beside the rows a session
+keeps one mark (a row count) per state and the child grafted at each
+invocation step, nothing per emit. `history` is a row-backed execution
+sequence over the table's own rows: an emission label is read from the
+rows between two marks, and an invocation label carries the settled
+child's own history. It builds no graph per state and skips the
+pair-by-pair extension proof: a prefix of the append-only rows extends
+every shorter one.
 
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
@@ -36,6 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from threading import RLock
 from typing import Callable, Sequence
 
@@ -118,28 +122,6 @@ def _wall_clock_micros() -> int:
     return time.time_ns() // 1000
 
 
-class _MonotoneClock:
-    """Issues strictly increasing timestamps above an optional lower bound."""
-
-    __slots__ = ("_wall", "_lower_bound", "_last")
-
-    def __init__(self, wall: Callable[[], int], lower_bound: Timestamp | None) -> None:
-        self._wall = wall
-        self._lower_bound = lower_bound
-        self._last: int | None = None
-
-    def issue(self, floor: Timestamp | None = None) -> Timestamp:
-        candidate = self._wall()
-        if self._last is not None:
-            candidate = max(candidate, self._last + 1)
-        if self._lower_bound is not None:
-            candidate = max(candidate, self._lower_bound.micros + 1)
-        if floor is not None:
-            candidate = max(candidate, floor.micros + 1)
-        self._last = candidate
-        return Timestamp(candidate)
-
-
 class Session:
     """A single agent's execution trace under construction.
 
@@ -166,18 +148,18 @@ class Session:
         """
         self._wall = wall_clock if wall_clock is not None else _wall_clock_micros
         self._id_factory = id_factory
-        self._clock = _MonotoneClock(self._wall, lower_bound)
+        self._last: int | None = None  # the last timestamp issued, in microseconds
         self._lock = RLock()
         self._id = SessionId.fresh(id_factory)
         self._status = SessionStatus.ACTIVE
 
         root = ActionId.fresh(id_factory)
-        root_ts = self._clock.issue()
+        root_ts = self._issue(lower_bound)  # every later stamp exceeds the root's, so the bound holds for all
         self._root = root
         self._table = NodeTable()
         self._table.append([(root, None, root_ts, root_type, payload)])
         self._marks: list[int] = [1]  # row count of each state in turn
-        self._steps: list[Emission | tuple[ActionId, Session]] = []
+        self._grafts: dict[int, Session] = {}  # step index: the child grafted at that step
         self._snapshot: Cteg | None = None
 
     @property
@@ -209,16 +191,22 @@ class Session:
         Row-backed (see `ExecutionSequence`): it shares the table's rows,
         which only grow, and keeps the row count of each state, so it costs
         memory linear in the trace and builds a state's graph only when
-        asked. Graph `k` declares the types in use in state `k`. Each
-        invocation label carries the settled child's history; its attach
-        node is the child's root, so no graph is built to check it.
+        asked. Graph `k` declares the types in use in state `k`. Step `k`
+        added `rows[lo:hi]` between marks `k` and `k + 1`: an emission of
+        their nodes under their one parent, or a graft whose first row
+        hangs the child's root under the invocation node. Each invocation
+        label carries the settled child's history; its attach node is the
+        child's root, so no graph is built to check it.
         """
         with self._lock:
+            rows, marks, grafts = self._table.rows, self._marks, self._grafts
             labels = tuple(
-                step if isinstance(step, Emission) else Invocation._proved(step[0], step[1].history(), step[1].root)
-                for step in self._steps
+                Invocation._proved(rows[lo][1], grafts[k].history(), rows[lo][0])
+                if k in grafts
+                else Emission(rows[lo][1], frozenset(map(itemgetter(0), rows[lo:hi])))
+                for k, (lo, hi) in enumerate(zip(marks, marks[1:]))
             )
-            return ExecutionSequence._rows(self._table.rows, tuple(self._marks), labels)
+            return ExecutionSequence._rows(rows, tuple(marks), labels)
 
     def emit(self, parent: ActionId, events: Sequence[tuple[EventType, bytes]]) -> list[ActionId]:
         """Add one batch of typed events as children of `parent`.
@@ -233,19 +221,18 @@ class Session:
             floor = self._table.time_of(parent)
             if not events:
                 raise EmptyEmissionError("emit requires at least one event")
-            last = self._clock._last
+            last = self._last
             try:
                 rows: list[Row] = [
-                    (ActionId.fresh(self._id_factory), parent, self._clock.issue(floor=floor), kind, payload)
+                    (ActionId.fresh(self._id_factory), parent, self._issue(floor), kind, payload)
                     for kind, payload in events
                 ]
                 self._table.append(rows)
             except BaseException:
-                self._clock._last = last  # roll back: the batch issued nothing
+                self._last = last  # roll back: the batch issued nothing
                 raise
-            ids = [row[0] for row in rows]
-            self._advance(Emission(parent, frozenset(ids)))
-            return ids
+            self._advance()
+            return [row[0] for row in rows]
 
     def invoke_subagent(
         self,
@@ -305,13 +292,23 @@ class Session:
                     raise InactiveSessionError(f"child session is already {child._status.value}")
                 if graft_trace:
                     self._table.graft(handle.parent_node, child._table)
-                    self._advance((handle.parent_node, child))
+                    self._grafts[len(self._marks) - 1] = child
+                    self._advance()
                 child._status = final_status
             handle._consumed = True
 
-    def _advance(self, step: Emission | tuple[ActionId, "Session"]) -> None:
+    def _issue(self, floor: Timestamp | None) -> Timestamp:
+        """The wall clock's time, raised strictly above the last stamp issued and above `floor`."""
+        stamp = self._wall()
+        if self._last is not None:
+            stamp = max(stamp, self._last + 1)
+        if floor is not None:
+            stamp = max(stamp, floor.micros + 1)
+        self._last = stamp
+        return Timestamp(stamp)
+
+    def _advance(self) -> None:
         self._marks.append(len(self._table.rows))
-        self._steps.append(step)
         self._snapshot = None
 
     def _require_active(self) -> None:

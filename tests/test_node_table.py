@@ -17,8 +17,9 @@ Covered claims:
       store reopens to equal traces
     - loading a stored session and taking a session snapshot run no
       `validate_cteg`; importing canonical trace text runs one table check
-      of the whole batch and no `validate_cteg`, while shuffled valid text
-      and invalid text that parses run `validate_cteg` exactly once
+      of the whole batch and no `validate_cteg`, and so does the same text
+      with its rows shuffled, while invalid text that parses runs
+      `validate_cteg` exactly once
     - a payload that is not `bytes`, a timestamp that is not a `Timestamp`
       and a type that is not an `EventType` are rejected with TypeError,
       admitting nothing
@@ -41,7 +42,6 @@ from cteg import (
     FailurePolicy,
     FileStore,
     MemoryStore,
-    NodeRecord,
     SessionId,
     UnknownNodeError,
     ValidationFailedError,
@@ -204,18 +204,12 @@ def test_memory_and_file_stores_raise_the_same_errors(script):
             for i, (fault, pick, step) in enumerate(script):
                 row = _row(rows, fault if fault in FAULTS else None, pick, step, aid(i))
                 node, parent, stamp, kind, payload = row
-                record = NodeRecord(
-                    node,
-                    SessionId.from_int(2) if fault == "unknown-session" else session,
-                    parent,
-                    stamp,
-                    kind,
-                    b"12345" if fault == "payload-cap" else payload,
-                )
+                target = SessionId.from_int(2) if fault == "unknown-session" else session
+                record = (node, parent, stamp, kind, b"12345" if fault == "payload-cap" else payload)
                 outcomes = []
                 for store in (memory, file_store):
                     try:
-                        store.append_node(record)
+                        store.append_rows(target, [record])
                         outcomes.append(None)
                     except StoreError as exc:
                         outcomes.append(type(exc))
@@ -266,8 +260,8 @@ def test_to_cteg_builds_what_the_validating_constructor_builds(host, grafts):
         path = Path(tmp) / "log.cteg"
         with FileStore(path) as store:
             sid = store.register_session(SessionId.from_int(1))
-            for node, parent, stamp, kind, payload in rows:
-                store.append_node(NodeRecord(node, sid, parent, stamp, kind, payload))
+            for row in rows:
+                store.append_rows(sid, [row])
         with FileStore(path) as reopened:
             assert reopened.load_session(sid) == reference
 
@@ -322,9 +316,10 @@ def test_import_proves_exactly_once():
         assert spy.call_count == 0
     assert (trace, sid) == (s.snapshot(), s.id)
 
-    with _spy() as spy:
+    with checks as check, _spy() as spy:
         assert import_trace(shuffled) == (trace, sid)
-        assert spy.call_count == 1
+        assert check.call_count == 1 and len(check.call_args.args[1]) == len(lines)
+        assert spy.call_count == 0
     with _spy() as spy:
         with pytest.raises(ValidationFailedError, match="edge-timestamp"):
             import_trace(invalid)

@@ -42,7 +42,6 @@ from cteg import (
     DisjointnessError,
     FileStore,
     MemoryStore,
-    NodeRecord,
     SessionId,
     TraceFormatError,
     TypedTemporalGraph,
@@ -86,15 +85,18 @@ def sid(i: int) -> SessionId:
     return SessionId.from_int(i)
 
 
-def record(session, node, parent, stamp, payload=b""):
-    return NodeRecord(
-        node_id=aid(node),
-        session_id=session,
-        parent_id=aid(parent) if parent is not None else None,
-        timestamp=ts(stamp),
-        event_type=ty("evt"),
-        payload=payload,
-    )
+def row(node, parent, stamp, payload=b""):
+    """One node-table row: node, parent or None, timestamp, type, payload."""
+    return (aid(node), aid(parent) if parent is not None else None, ts(stamp), ty("evt"), payload)
+
+
+FIELDS = {"timestamp": 2, "event_type": 3}
+
+
+def foreign(good, field):
+    """The row with its timestamp or type replaced by a plain int or str."""
+    i = FIELDS[field]
+    return good[:i] + (5 if field == "timestamp" else "evt",) + good[i + 1 :]
 
 
 class TestRegistry:
@@ -119,52 +121,51 @@ class TestRegistry:
 class TestAppend:
     def test_root_then_child(self, store):
         store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 0))
-        store.append_node(record(sid(1), 11, 10, 1))
+        store.append_rows(sid(1), [row(10, None, 0)])
+        store.append_rows(sid(1), [row(11, 10, 1)])
 
     def test_child_before_parent_rejected(self, store):
         store.register_session(sid(1))
         with pytest.raises(UnknownParentError):
-            store.append_node(record(sid(1), 11, 10, 1))
+            store.append_rows(sid(1), [row(11, 10, 1)])
 
     def test_second_root_rejected(self, store):
         store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 0))
+        store.append_rows(sid(1), [row(10, None, 0)])
         with pytest.raises(DuplicateRootError):
-            store.append_node(record(sid(1), 11, None, 1))
+            store.append_rows(sid(1), [row(11, None, 1)])
 
     def test_duplicate_node_rejected(self, store):
         store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 0))
+        store.append_rows(sid(1), [row(10, None, 0)])
         with pytest.raises(DuplicateNodeError):
-            store.append_node(record(sid(1), 10, None, 5))
+            store.append_rows(sid(1), [row(10, None, 5)])
 
     def test_timestamp_must_strictly_increase(self, store):
         store.register_session(sid(1))
-        store.append_node(record(sid(1), 10, None, 5))
+        store.append_rows(sid(1), [row(10, None, 5)])
         with pytest.raises(TimestampOrderError):
-            store.append_node(record(sid(1), 11, 10, 5))
+            store.append_rows(sid(1), [row(11, 10, 5)])
 
     def test_unknown_session_rejected(self, store):
         with pytest.raises(UnknownSessionError):
-            store.append_node(record(sid(9), 10, None, 0))
+            store.append_rows(sid(9), [row(10, None, 0)])
 
     @pytest.mark.parametrize("payload", [bytearray(b"ab"), "ab"])
     def test_payload_that_is_not_bytes_rejected(self, store, payload):
         s = store.register_session(sid(1))
         with pytest.raises(TypeError, match="must be bytes"):
-            store.append_node(record(s, 1, None, 0, payload))
-        store.append_node(record(s, 1, None, 0, b"ab"))
+            store.append_rows(s, [row(1, None, 0, payload)])
+        store.append_rows(s, [row(1, None, 0, b"ab")])
         assert store.load_session(s).graph.payloads == {aid(1): b"ab"}
 
     @pytest.mark.parametrize("field", ["timestamp", "event_type"])
     def test_timestamp_or_type_that_is_not_ours_rejected(self, store, field):
         s = store.register_session(sid(1))
-        good = record(s, 1, None, 5)
-        bad = NodeRecord(**{**vars(good), field: 5 if field == "timestamp" else "evt"})
+        good = row(1, None, 5)
         with pytest.raises(TypeError, match="must be an? (Timestamp|EventType), not (int|str)"):
-            store.append_node(bad)
-        store.append_node(good)
+            store.append_rows(s, [foreign(good, field)])
+        store.append_rows(s, [good])
         assert store.load_session(s).graph.t == {aid(1): ts(5)}
 
     @pytest.mark.parametrize("field", ["timestamp", "event_type"])
@@ -173,11 +174,11 @@ class TestAppend:
         with FileStore(path) as store:
             s = store.register_session(sid(1))
             size = path.stat().st_size
-            good = record(s, 1, None, 5)
+            good = row(1, None, 5)
             with pytest.raises(TypeError):
-                store.append_node(NodeRecord(**{**vars(good), field: 5 if field == "timestamp" else "evt"}))
+                store.append_rows(s, [foreign(good, field)])
             assert path.stat().st_size == size
-            store.append_node(good)
+            store.append_rows(s, [good])
         with FileStore(path) as reopened:
             assert reopened.load_session(s).graph.t == {aid(1): ts(5)}
 
@@ -185,7 +186,7 @@ class TestAppend:
         small = MemoryStore(payload_cap=4)
         small.register_session(sid(1))
         with pytest.raises(PayloadTooLargeError):
-            small.append_node(record(sid(1), 10, None, 0, payload=b"12345"))
+            small.append_rows(sid(1), [row(10, None, 0, payload=b"12345")])
 
 
 class TestErrorClasses:
@@ -240,14 +241,14 @@ class TestLoad:
         traces = {store.register_session(): random_cteg(rng, 12) for _ in range(3)}
         queues = {
             session: [
-                NodeRecord(n, session, c.parent_map().get(n), c.graph.t[n], c.graph.tau[n], c.graph.payloads[n])
+                (n, c.parent_map().get(n), c.graph.t[n], c.graph.tau[n], c.graph.payloads[n])
                 for n in sorted(c.graph.nodes, key=lambda n: (c.graph.t[n], n))
             ]
             for session, c in traces.items()
         }
         while any(queues.values()):
             session = rng.choice([s for s, q in queues.items() if q])
-            store.append_node(queues[session].pop(0))
+            store.append_rows(session, [queues[session].pop(0)])
         for session, c in traces.items():
             assert store.load_session(session) == c
 
@@ -267,12 +268,12 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as first:
             first.register_session(sid(1))
-            first.append_node(record(sid(1), 10, None, 0, payload=bytes(100)))
+            first.append_rows(sid(1), [row(10, None, 0, payload=bytes(100))])
         with FileStore(path, payload_cap=10) as reopened:
             assert reopened.load_session(sid(1)).graph.payloads[aid(10)] == bytes(100)
             with pytest.raises(PayloadTooLargeError):
-                reopened.append_node(record(sid(1), 11, 10, 1, payload=bytes(11)))
-            reopened.append_node(record(sid(1), 12, 10, 1, payload=bytes(10)))
+                reopened.append_rows(sid(1), [row(11, 10, 1, payload=bytes(11))])
+            reopened.append_rows(sid(1), [row(12, 10, 1, payload=bytes(10))])
         with FileStore(path, payload_cap=10) as again:
             assert again.load_session(sid(1)).graph.nodes == {aid(10), aid(12)}
 
@@ -286,8 +287,8 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 5))
-            store.append_node(record(sid(1), 11, 10, 6))
+            store.append_rows(sid(1), [row(10, None, 5)])
+            store.append_rows(sid(1), [row(11, 10, 6)])
         data = bytearray(path.read_bytes())
         # independent walk to the last record, then patch its i64 timestamp
         # field (offset: 4 len + 1 kind + 16 node + 16 session + 1 flag + 16 parent)
@@ -311,8 +312,8 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 5))
-            store.append_node(record(sid(1), 11, 10, 6))
+            store.append_rows(sid(1), [row(10, None, 5)])
+            store.append_rows(sid(1), [row(11, 10, 6)])
         data = bytearray(path.read_bytes())
         start = record_boundaries(bytes(data), len(_MAGIC))[record_index]
         data[start + 4 + field_offset : start + 4 + field_offset + len(value)] = value
@@ -324,8 +325,8 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 0, payload=b"root"))
-            store.append_node(record(sid(1), 11, 10, 1))
+            store.append_rows(sid(1), [row(10, None, 0, payload=b"root")])
+            store.append_rows(sid(1), [row(11, 10, 1)])
         data = path.read_bytes()
         boundaries = record_boundaries(data, len(_MAGIC))
         for start, end in zip(boundaries, boundaries[1:]):
@@ -338,7 +339,7 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 0))
+            store.append_rows(sid(1), [row(10, None, 0)])
         data = path.read_bytes()
         path.write_bytes(data + b"\x99\x00\x00\x00partial")
         with FileStore(path) as reopened:
@@ -360,8 +361,8 @@ class TestFileStore:
             assert store.open_report.new_log
             store.register_session(sid(1))
             store.register_session(sid(2))
-            for rec in (record(sid(1), 10, None, 0), record(sid(2), 20, None, 0), record(sid(1), 11, 10, 1)):
-                store.append_node(rec)
+            for session, rec in ((sid(1), row(10, None, 0)), (sid(2), row(20, None, 0)), (sid(1), row(11, 10, 1))):
+                store.append_rows(session, [rec])
         with caplog.at_level(logging.DEBUG, logger="cteg"), FileStore(path) as reopened:
             assert reopened.open_report == OpenReport(records=5, sessions=2, torn_bytes=0, new_log=False)
         assert caplog.records == []
@@ -373,8 +374,8 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 0, b"payload"))
-            store.append_node(record(sid(1), 11, 10, 1))
+            store.append_rows(sid(1), [row(10, None, 0, b"payload")])
+            store.append_rows(sid(1), [row(11, 10, 1)])
         data = path.read_bytes()
         boundaries = record_boundaries(data, len(_MAGIC))
         assert len(boundaries) == 4
@@ -403,8 +404,8 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 0, payload=b"root"))
-            store.append_node(record(sid(1), 11, 10, 1, payload=b"child"))
+            store.append_rows(sid(1), [row(10, None, 0, payload=b"root")])
+            store.append_rows(sid(1), [row(11, 10, 1, payload=b"child")])
         data = path.read_bytes()
         boundaries = record_boundaries(data, len(_MAGIC))
         for cut in range(0, len(data)):  # from inside the header on
@@ -412,8 +413,8 @@ class TestFileStore:
             complete = sum(1 for b in boundaries if b <= cut) - 1  # records wholly before the cut
             with FileStore(path) as reopened:
                 reopened.register_session(sid(2))
-                reopened.append_node(record(sid(2), 20, None, 5))
-                reopened.append_node(record(sid(2), 21, 20, 6))
+                reopened.append_rows(sid(2), [row(20, None, 5)])
+                reopened.append_rows(sid(2), [row(21, 20, 6)])
             with FileStore(path) as again:
                 expected = [sid(1)] if complete >= 1 else []
                 assert again.session_ids() == (*expected, sid(2)), f"cut at byte {cut}"
@@ -426,20 +427,20 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 0))
+            store.append_rows(sid(1), [row(10, None, 0)])
             data = path.read_bytes()
             path.unlink()
             path.mkdir()  # every later open of the log for writing now raises an OSError
             with pytest.raises(OSError):
                 store.register_session(sid(2))
             with pytest.raises(OSError):
-                store.append_node(record(sid(1), 11, 10, 1))
+                store.append_rows(sid(1), [row(11, 10, 1)])
             assert store.session_ids() == (sid(1),)
             assert store.load_session(sid(1)).graph.nodes == {aid(10)}
             path.rmdir()
             path.write_bytes(data)
             store.register_session(sid(2))
-            store.append_node(record(sid(1), 11, 10, 1))
+            store.append_rows(sid(1), [row(11, 10, 1)])
         with FileStore(path) as reopened:
             assert reopened.session_ids() == (sid(1), sid(2))
             assert reopened.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
@@ -451,7 +452,7 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 0))
+            store.append_rows(sid(1), [row(10, None, 0)])
             size = path.stat().st_size
             limits = resource.getrlimit(resource.RLIMIT_FSIZE)
             handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
@@ -459,12 +460,12 @@ class TestFileStore:
                 # the file may grow by 20 bytes: the next record gets cut part-way
                 resource.setrlimit(resource.RLIMIT_FSIZE, (size + 20, limits[1]))
                 with pytest.raises(OSError):
-                    store.append_node(record(sid(1), 11, 10, 1, payload=b"x" * 100))
+                    store.append_rows(sid(1), [row(11, 10, 1, payload=b"x" * 100)])
             finally:
                 resource.setrlimit(resource.RLIMIT_FSIZE, limits)
                 signal.signal(signal.SIGXFSZ, handler)
             assert path.stat().st_size == size
-            store.append_node(record(sid(1), 12, 10, 2))
+            store.append_rows(sid(1), [row(12, 10, 2)])
         with FileStore(path) as reopened:
             assert reopened.load_session(sid(1)).graph.nodes == {aid(10), aid(12)}
 
@@ -486,14 +487,14 @@ class TestFileStore:
         path = tmp_path / "log.cteg"
         with FileStore(path) as store:
             store.register_session(sid(1))
-            store.append_node(record(sid(1), 10, None, 0))
+            store.append_rows(sid(1), [row(10, None, 0)])
         size = path.stat().st_size
         with pytest.raises(ValueError):
-            store.append_node(record(sid(1), 11, 10, 1))
+            store.append_rows(sid(1), [row(11, 10, 1)])
         assert path.stat().st_size == size
         assert store.load_session(sid(1)).graph.nodes == {aid(10)}
         with FileStore(path) as reopened:
-            reopened.append_node(record(sid(1), 11, 10, 1))
+            reopened.append_rows(sid(1), [row(11, 10, 1)])
         with FileStore(path) as again:
             assert again.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
 
@@ -563,7 +564,7 @@ def test_append_trace_writes_the_bytes_of_row_by_row_appends(traces):
                 store.register_session(session)
                 parents, g = c.parent_map(), c.graph
                 for n in sorted(g.nodes, key=lambda n: (g.t[n], n)):
-                    store.append_node(NodeRecord(n, session, parents.get(n), g.t[n], g.tau[n], g.payloads[n]))
+                    store.append_rows(session, [(n, parents.get(n), g.t[n], g.tau[n], g.payloads[n])])
         assert batched.read_bytes() == by_row.read_bytes()
         with FileStore(batched) as reopened:
             assert reopened.session_ids() == tuple(sessions)

@@ -13,7 +13,8 @@ Covered claims:
     - the row-built history and snapshot match the reference step
       functions replayed from the history's own labels; the history, and
       every child history in its labels, passes the public constructor,
-      and building it runs no extension proof
+      and building it runs no extension proof; an emit builds no step
+      label, and `history` reads equal labels from the rows
     - rejected emits and grafts raise today's error classes and leave the
       trace and its history unchanged; a payload that is not `bytes` is
       rejected with TypeError wherever a session takes one, so a snapshot
@@ -23,6 +24,7 @@ Covered claims:
 
 import random
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -212,12 +214,12 @@ class TestCompleteSubagent:
         # a later parent emission below a grafted node must still be strict
         parent = begin_session(ty("task"), wall_clock=frozen_clock(0), id_factory=seeded_ids(1))
         handle, child = parent.invoke_subagent(parent.root, ty("sub"))
-        child._clock._last = 10_000  # simulate a child that issued far-future stamps
+        child._last = 10_000  # simulate a child that issued far-future stamps
         (deep,) = child.emit(child.root, [(ty("sub"), b"")])
         parent.complete_subagent(handle, child)
         (cont,) = parent.emit(deep, [(ty("task"), b"")])
         g = parent.snapshot().graph
-        assert g.t[deep] < g.t[cont]
+        assert g.t[deep] == Timestamp(10_001) and g.t[deep] < g.t[cont]
         assert validate_cteg(g, parent.root).ok
 
     def test_wrong_child_session_rejected(self):
@@ -395,6 +397,23 @@ class TestRowsAgainstReference:
             history = s.history()
         assert len(history) == 4 and len(history.steps[1].subtrace) == 2
         assert calls == []
+
+    def test_emit_builds_no_label_and_history_reads_the_labels_from_the_rows(self):
+        s = quiet_session(5)
+        with mock.patch("cteg.session.Emission", mock.Mock(wraps=Emission)) as spy:
+            (a,) = s.emit(s.root, [(ty("a"), b"")])
+            handle, child = s.invoke_subagent(a, ty("sub"))
+            (b,) = child.emit(child.root, [(ty("b"), b"")])
+            s.complete_subagent(handle, child)
+            later = s.emit(a, [(ty("c"), b""), (ty("d"), b"x")])
+            assert spy.call_count == 0
+            history = s.history()
+        assert history.steps == (
+            Emission(s.root, frozenset({a})),
+            Invocation(a, child.history(), child.root),
+            Emission(a, frozenset(later)),
+        )
+        assert history.steps[1].subtrace.steps == (Emission(child.root, frozenset({b})),)
 
 
 def scripted_ids(*ints):
