@@ -476,8 +476,15 @@ class Cteg:
         self._fill(root, rows, graph.type_set, graph, parents)
 
     @classmethod
-    def _proved(cls, rows: tuple[Row, ...], type_set: frozenset[EventType]) -> "Cteg":
-        """The trace of rows already proved valid and in projection order, stored without validation."""
+    def _proved(cls, rows: tuple[Row, ...], type_set: frozenset[EventType] | None = None) -> "Cteg":
+        """The trace of rows already proved valid and in projection order, stored without validation.
+
+        Without a type set it declares the types in use.
+        """
+        if type_set is None:
+            kinds = list(map(itemgetter(3), rows))
+            # A trace holds few type objects, so they are deduplicated by identity before any is hashed.
+            type_set = frozenset(dict(zip(map(id, kinds), kinds)).values())
         c = object.__new__(cls)
         c._fill(rows[0][0], rows, type_set, None, None)
         return c
@@ -640,11 +647,7 @@ class NodeTable:
         The row check is the proof, and the sort into projection order is
         linear on rows already in it, as canonical text and stores list them.
         """
-        rows = self.rows
-        kinds = list(map(itemgetter(3), rows))
-        # A trace holds few type objects, so they are deduplicated by identity before any is hashed.
-        types = frozenset(dict(zip(map(id, kinds), kinds)).values())
-        return Cteg._proved(_in_projection_order(rows), types)
+        return Cteg._proved(_in_projection_order(self.rows))
 
 
 def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:

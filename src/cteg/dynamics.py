@@ -390,8 +390,6 @@ def is_emission_step(g: TypedTemporalGraph, g2: TypedTemporalGraph) -> EmissionW
     if len(sources) != 1 or targets != new_nodes:
         return None
     (p,) = sources
-    if p not in g.nodes:
-        return None
     if not all(g.t[p] < g2.t[a] for a in new_nodes):
         return None
     return EmissionWitness(p, frozenset(new_nodes))
@@ -484,15 +482,16 @@ def is_member_e_infinity(seq: ExecutionSequence) -> Diagnostics:
     witness-free on graph deltas, so step labels never influence the verdict.
     Every prefix of a member is again a member by construction.
 
-    A row-backed sequence is checked from its rows, in time linear in them
-    and without building a graph (`_row_proofs`); only a state or step that
-    its rows do not prove goes through the graphs, which decide it, and
-    their messages, exactly as for a graph-backed sequence.
+    A row-backed sequence is proved in one `NodeTable` pass over its rows
+    (`_row_proofs`), in time linear in them and without building a graph.
+    A state or step the rows do not prove, and every one from a delta the
+    table refuses on, goes through the graphs, which decide it and word its
+    messages exactly as for a graph-backed sequence.
     """
     graphs = seq.graphs
     proofs = _row_proofs(graphs) if isinstance(graphs, _Prefixes) else repeat(False)
     violations: list[Violation] = []
-    if not next(proofs, False):
+    if not next(proofs):
         g0 = graphs[0]
         if not _is_trivial(g0):
             violations.append(
@@ -526,50 +525,32 @@ def is_member_e_infinity(seq: ExecutionSequence) -> Diagnostics:
 def _row_proofs(view: _Prefixes) -> Iterator[bool]:
     """Whether the rows alone prove the initial state, then each step, legal.
 
-    The initial state is proved when it is one parentless row. A step is
-    proved when its delta of rows is new and, where a type set is declared,
-    typed inside it, and is either an emission (every row hangs from one
-    earlier node and is later than it) or an invocation (the first row hangs
-    from an earlier node and is later than it, and the rows pass
-    `NodeTable.check` once that row is made the root). Whatever these prove,
-    the graph checks accept; what they do not prove is left to the graphs.
+    One `NodeTable` admits each state's delta of rows in order, so its row
+    check proves every state a valid CTEG, and the shape of a step is read
+    from parent pointers alone: the initial state is proved when it is one
+    row; a step is an emission when every row hangs from the first row's
+    parent, and an invocation when every row after the first hangs inside
+    the delta. A delta that is empty, holds a type outside the declared set
+    or is refused by the table ends the proofs, and every later state is
+    left to the graphs. Whatever these prove, the graph checks accept.
     """
-    rows, type_set = view.rows, view.type_set
-    first: dict[ActionId, int] = {}  # each node's first row
-    indexed = 0
-    prev = None
-    for m in view.marks:
-        for j in range(indexed, min(m, len(rows))):
-            first.setdefault(rows[j][0], j)
-        indexed = max(indexed, m)
-        if prev is None:
-            yield m == 1 and len(rows) > 0 and rows[0][1] is None and (type_set is None or rows[0][3] in type_set)
+    rows, type_set, table, lo = view.rows, view.type_set, NodeTable(), 0
+    for hi in view.marks:
+        delta = rows[lo:hi]
+        if not delta or (type_set is not None and not type_set.issuperset(map(itemgetter(3), delta))):
+            break
+        try:
+            new = table.check(delta)
+        except (CtegError, TypeError):
+            break
+        table.admit(delta, new)
+        if not lo:  # the initial state
+            yield len(delta) == 1
         else:
-            yield _delta_proved(rows, first, prev, m, type_set)
-        prev = m
-
-
-def _delta_proved(rows: Sequence[Row], first: dict[ActionId, int], lo: int, hi: int, type_set) -> bool:
-    delta = rows[lo:hi]
-    if not delta:
-        return False
-    for j, (node, _, _, event_type, _) in enumerate(delta, lo):
-        if first[node] != j or (type_set is not None and event_type not in type_set):
-            return False
-    node, p, ts, event_type, payload = delta[0]
-    i = first.get(p, lo)
-    if i >= lo:
-        return False
-    tp = rows[i][2].micros
-    if all(row[1] == p and tp < row[2].micros for row in delta):
-        return True
-    if not tp < ts.micros:
-        return False
-    try:
-        NodeTable().check([(node, None, ts, event_type, payload), *islice(delta, 1, None)])
-    except (CtegError, TypeError):
-        return False
-    return True
+            p, *rest = map(itemgetter(1), delta)
+            yield all(q == p for q in rest) or all(q in new for q in rest)
+        lo = hi
+    yield from repeat(False)
 
 
 @dataclass(frozen=True)

@@ -497,11 +497,11 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
 def import_trace(data: bytes) -> tuple[Cteg, SessionId]:
     """Parse and prove trace text; the exact inverse of `export_trace`.
 
-    The parsed rows, sorted into projection order, are appended to a fresh
-    `NodeTable`, whose row check is the same proof a store's `load_session`
-    relies on, and the trace is the table's `to_cteg()`. Sorted rows of a
-    valid trace list each parent first, so the table accepts valid text in
-    any row order. Text it rejects takes the reference path on its rows in
+    The parsed rows, sorted into projection order, pass a fresh `NodeTable`'s
+    row check, the same proof a store's `load_session` relies on, and the
+    trace is those sorted rows, not sorted again. Sorted rows of a valid
+    trace list each parent first, so the table accepts valid text in any
+    row order. Text it rejects takes the reference path on its rows in
     file order, only for the error: `parse_trace`'s representability
     checks, then the validating `Cteg(...)` with its diagnostics.
 
@@ -509,13 +509,13 @@ def import_trace(data: bytes) -> tuple[Cteg, SessionId]:
     the rows parse but do not form a valid CTEG.
     """
     rows, seen, session = _parse_rows(data)
-    table = NodeTable()
+    ordered = _in_projection_order(rows)
     try:
-        table.append(_in_projection_order(rows))
+        NodeTable().check(ordered)
     except StoreError as exc:
         rejected = exc
     else:
-        return table.to_cteg(), session
+        return Cteg._proved(ordered), session
     graph, root = _graph_of(rows, seen)
     Cteg(graph, root)  # raises: a CTEG's sorted rows pass the table
     raise rejected

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cteg import SessionId, export_trace, import_trace
+from cteg import SessionId, cli, export_trace, import_trace, phi
 from cteg.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, SimulationConfig, main, run_simulation
 from cteg.dynamics import Emission
 from util import counting_graphs, cteg, hexid, random_cteg
@@ -62,6 +62,13 @@ class TestSimulate:
         history = session.history()
         assert history.steps is not None
         assert all(isinstance(s, Emission) for s in history.steps)
+
+    def test_zero_branching_is_an_argument_error(self, tmp_path, capsys):
+        out = tmp_path / "t.cteg"
+        code, stdout, err = run(capsys, "simulate", "--branching", "0", "--out", str(out))
+        assert code == EXIT_PARSE
+        assert err == "error: branching must be at least 1\n" and stdout == ""
+        assert not out.exists()
 
     def test_summary_line_shape(self, tmp_path, capsys):
         _, line, _ = run(capsys, "simulate", "--seed", "4", "--out", str(tmp_path / "t.cteg"))
@@ -241,6 +248,20 @@ class TestOracle:
         )
         assert code == EXIT_BUDGET
         assert "budget exceeded" in err
+
+    def test_budget_exhaustion_on_the_fixed_point_check_exits_three(self, capsys, monkeypatch):
+        # At these bounds the check costs what the last level did, so one more call of `phi` is cut short.
+        calls = []
+
+        def levels_then_one_state(current, bounds, budget):
+            calls.append(current)
+            return phi(current, bounds, budget=1 if len(calls) > 3 else budget)
+
+        monkeypatch.setattr(cli, "phi", levels_then_one_state)
+        code, out, err = run(capsys, "oracle", "--actions", "3", "--timestamps", "3", "--max-len", "2", "--d-max", "2")
+        assert code == EXIT_BUDGET and len(calls) == 4
+        assert out.splitlines()[-1] == "assert E1 == E2: ok"
+        assert err == "budget exceeded while checking the fixed point\n"
 
 
 class TestModuleEntryPoint:

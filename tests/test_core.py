@@ -190,6 +190,26 @@ class TestGraphConstruction:
                 type_set=frozenset({ty("evt")}),
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(nodes=frozenset(), t={}, tau={}), "at least one node"),
+            (dict(tau={aid(1): ty("evt")}), "type map must be total"),
+            (dict(payloads={aid(3): b"x"}), "payload map mentions unknown nodes"),
+        ],
+        ids=["no-nodes", "partial-type-map", "payload-for-an-unknown-node"],
+    )
+    def test_malformed_node_maps_rejected(self, fields, message):
+        well_formed = dict(
+            nodes=frozenset({aid(1), aid(2)}),
+            edges=frozenset(),
+            t={aid(1): ts(0), aid(2): ts(1)},
+            tau={aid(1): ty("evt"), aid(2): ty("evt")},
+            type_set=frozenset({ty("evt")}),
+        )
+        with pytest.raises(ValueError, match=message):
+            TypedTemporalGraph(**{**well_formed, **fields})
+
     def test_payloads_default_to_empty(self):
         g = graph({1: 0, 2: 1}, {(1, 2)}, payloads={2: b"x"})
         assert g.payloads[aid(1)] == b""

@@ -2,7 +2,9 @@
 
 Covered claims:
     - emission and invocation application enforce disjointness and strict
-      timestamps, and preserve CTEG validity
+      timestamps, reject an unknown root, payloads for nodes not emitted
+      and an unusable attach node, and preserve CTEG validity; a chain
+      needs a graph, extension pair by pair and one label per step
     - delta analysis recognises exactly the legal steps, including the
       singleton case where both readings coincide
     - e0_normalize round-trips any valid trace through an emission-only
@@ -48,6 +50,7 @@ from cteg import (
     Invocation,
     TypedTemporalGraph,
     UniverseBounds,
+    UnknownNodeError,
     ValidationFailedError,
     apply_emission,
     apply_invocation,
@@ -120,6 +123,15 @@ class TestApplyEmission:
         with pytest.raises(DisjointnessError):
             apply_emission(g, aid(1), {aid(2): (ts(5), ty("evt"))})
 
+    @pytest.mark.parametrize(
+        "root, payloads, message",
+        [(9, None, "emission root"), (1, {aid(3): b"x"}, "not being emitted")],
+        ids=["unknown-root", "payload-for-a-node-not-emitted"],
+    )
+    def test_unknown_root_or_payload_node_rejected(self, root, payloads, message):
+        with pytest.raises(UnknownNodeError, match=message):
+            apply_emission(graph({1: 0}, set()), aid(root), {aid(2): (ts(1), ty("evt"))}, payloads=payloads)
+
     def test_payloads_attach_to_new_nodes(self):
         g = graph({1: 0}, set())
         g2 = apply_emission(g, aid(1), {aid(2): (ts(1), ty("evt"))}, payloads={aid(2): b"pp"})
@@ -134,6 +146,21 @@ class TestApplyEmission:
             c.graph, p, {fresh: (ts(c.graph.t[p].micros + 1), ty("evt"))}
         )
         assert validate_cteg(g2, c.root).ok
+
+
+class TestExecutionSequence:
+    @pytest.mark.parametrize(
+        "graphs, steps, message",
+        [
+            ((), None, "at least one graph"),
+            ((graph({1: 0, 2: 1}, {(1, 2)}), graph({1: 0}, set())), None, "must extend the previous one"),
+            ((graph({1: 0}, set()), graph({1: 0, 2: 1}, {(1, 2)})), (), "one step label per extension"),
+        ],
+        ids=["no-graphs", "not-extending", "wrong-label-count"],
+    )
+    def test_malformed_chains_rejected(self, graphs, steps, message):
+        with pytest.raises(ValueError, match=message):
+            ExecutionSequence(graphs, steps)
 
 
 class TestApplyInvocation:
@@ -195,6 +222,20 @@ class TestApplyInvocation:
         sub = ExecutionSequence((cyclic,), ())
         with pytest.raises(AttachPointError):
             apply_invocation(graph({1: 0}, set()), aid(1), sub)
+
+    @pytest.mark.parametrize(
+        "root, attach, error, message",
+        [
+            (7, None, UnknownNodeError, "invocation root"),
+            (1, 8, AttachPointError, "not in the final graph"),
+            (1, 6, AttachPointError, "does not have in-degree zero"),
+        ],
+        ids=["unknown-root", "attach-outside-the-final-graph", "attach-with-an-in-edge"],
+    )
+    def test_unknown_root_or_unusable_attach_rejected(self, root, attach, error, message):
+        sub = ExecutionSequence((graph({5: 2, 6: 3}, {(5, 6)}),), ())
+        with pytest.raises(error, match=message):
+            apply_invocation(graph({1: 0}, set()), aid(root), sub, attach=None if attach is None else aid(attach))
 
     def test_disjointness(self):
         g = graph({1: 0, 9: 1}, {(1, 9)})
@@ -466,6 +507,10 @@ class TestUniverseBounds:
     def test_max_len_must_be_positive(self):
         with pytest.raises(ValueError):
             bounds_of(2, 2, 0)
+
+    def test_max_step_emit_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_step_emit must be at least 1"):
+            bounds_of(2, 2, 1, max_step_emit=0)
 
 
 class TestPhi:

@@ -305,8 +305,9 @@ class TestFileStore:
         [
             (1, 1 + 16 + 16, b"\x07", "bad parent flag"),  # the root's parent flag
             (2, 1 + 16 + 16 + 1 + 16, (1).to_bytes(8, "little"), "not above parent"),  # the child's timestamp
+            (3, 1, sid(1).value, "already registered"),  # the second session's id, made the first's
         ],
-        ids=["malformed", "inconsistent"],
+        ids=["malformed", "inconsistent", "registered-twice"],
     )
     def test_corruption_names_the_record_and_its_offset(self, tmp_path, record_index, field_offset, value, reason):
         path = tmp_path / "log.cteg"
@@ -314,6 +315,7 @@ class TestFileStore:
             store.register_session(sid(1))
             store.append_rows(sid(1), [row(10, None, 5)])
             store.append_rows(sid(1), [row(11, 10, 6)])
+            store.register_session(sid(2))
         data = bytearray(path.read_bytes())
         start = record_boundaries(bytes(data), len(_MAGIC))[record_index]
         data[start + 4 + field_offset : start + 4 + field_offset + len(value)] = value

@@ -198,6 +198,20 @@ class TestCompleteSubagent:
         with pytest.raises(ConsumedHandleError):
             s.complete_subagent(handle, child)
 
+    @pytest.mark.parametrize("settle", ["complete", "fail"])
+    def test_a_settled_child_cannot_be_settled_again(self, settle):
+        s = quiet_session()
+        handle, child = s.invoke_subagent(s.root, ty("sub"))
+        s.complete_subagent(handle, child)
+        before = s.snapshot()
+        again = SubagentHandle(s.id, s.root, child.id)
+        with pytest.raises(InactiveSessionError, match="child session is already completed"):
+            if settle == "complete":
+                s.complete_subagent(again, child)
+            else:
+                s.fail_subagent(again, child, FailurePolicy.GRAFT_PARTIAL)
+        assert not again.consumed and s.snapshot() == before
+
     def test_can_continue_emitting_at_the_invocation_node(self):
         s = quiet_session()
         (node,) = s.emit(s.root, [(ty("a"), b"")])
