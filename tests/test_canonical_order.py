@@ -12,6 +12,9 @@ Covered claims:
     - when siblings share a timestamp, temporal projection and child order
       still break the tie by node id, and exports, receipts and simulated
       traces stay byte-identical to their goldens
+    - a store log of each simulated trace, after a reopen and a second
+      append, and the output of `verify`, `project`, `normalize` and
+      `commit` on each stay byte-identical to their golden
 """
 
 import hashlib
@@ -24,12 +27,15 @@ from cteg import (
     ActionId,
     Cteg,
     ExecutionSequence,
+    FileStore,
     SessionId,
     Timestamp,
     TypedTemporalGraph,
     Violation,
+    append_trace,
     begin_session,
     export_trace,
+    import_trace,
     merkle_root,
     temporal_projection,
     validate_cteg,
@@ -253,6 +259,7 @@ def tied_cteg(rng: random.Random, n_nodes: int) -> Cteg:
 GOLDEN_TIED_EXPORTS = "bbd0edeebe7d01f7beaf9394cb4f9b9bba9ec522870e92ffd4508657817c90dc"
 GOLDEN_TIED_RECEIPTS = "160ffda05fa4088bff33d4a233e1b7d19ec2f9c5af7f0c6e6e2dc18c49c4c532"
 GOLDEN_SIMULATIONS = "25b5ba4adedcb83196508c92c9cb4e3ae89838a80695aaee5a9c93cb572194cb"
+GOLDEN_STORES_AND_COMMANDS = "ad95dd9a381e749e48345a263f95e970db0e99ab6f10c68715c01a46cabad620"
 
 
 class TestTies:
@@ -281,3 +288,24 @@ class TestTies:
             outputs.update(capsys.readouterr().out.encode())
             outputs.update(out.read_bytes())
         assert outputs.hexdigest() == GOLDEN_SIMULATIONS
+
+    def test_stores_and_commands_match_their_golden(self, tmp_path, capsys):
+        outputs = hashlib.sha256()
+        for seed in range(10):
+            out, log = tmp_path / f"sim{seed}.cteg", tmp_path / f"sim{seed}.store"
+            argv = ["simulate", "--seed", str(seed), "--max-depth", "3", "--fail-prob", "0.3", "--out", str(out)]
+            assert main(argv) == 0
+            trace, sid = import_trace(out.read_bytes())
+            with FileStore(log) as store:
+                store.register_session(sid)
+                append_trace(store, sid, trace)
+            outputs.update(log.read_bytes())
+            with FileStore(log) as store:
+                again = store.register_session(SessionId.from_int(seed))
+                append_trace(store, again, store.load_session(sid))
+            outputs.update(log.read_bytes())
+            capsys.readouterr()
+            for command in ("verify", "project", "normalize", "commit"):
+                assert main([command, str(out)]) == 0
+                outputs.update(capsys.readouterr().out.encode())
+        assert outputs.hexdigest() == GOLDEN_STORES_AND_COMMANDS
