@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from typing import Sequence
 
-from .core import ActionId, Cteg, EventType, Timestamp, projection_rows
+from .core import Cteg, EventType, Timestamp
 
 __all__ = ["DOMAIN_TAG", "Digest", "node_digest", "merkle_root", "verify_commitment"]
 
@@ -84,18 +84,17 @@ def node_digest(
 def merkle_root(c: Cteg) -> Digest:
     """Root digest of a trace, computed bottom-up without recursion.
 
-    Timestamps strictly increase along edges, so walking the trace's
+    Timestamps strictly increase along edges, so walking the trace's plain
     projection rows backwards, in descending (timestamp, id) order, reaches
     every child before its parent and collects each node's child digests in
-    reverse canonical order. The root comes last. The walk reads the trace's
-    own rows, so it neither sorts nor builds a graph or a parent map.
+    reverse canonical order. The root comes last.
     """
-    below: dict[ActionId, list[bytes]] = {}
+    below: dict[bytes, list[bytes]] = {}
     digest = b""
-    for n, parent, ts, event_type, payload in reversed(projection_rows(c)):
+    for n, parent, micros, event_type, payload in reversed(c._rows):
         kids = below.pop(n, [])
         kids.reverse()
-        digest = _digest(_type_head(event_type.name), ts.micros, payload, kids)
+        digest = _digest(_type_head(event_type.name), micros, payload, kids)
         if parent is not None:
             below.setdefault(parent, []).append(digest)
     return Digest(digest)

@@ -17,11 +17,9 @@ share between threads without synchronization.
 
 The one mutable exception is `NodeTable`, the append-only node table that
 sessions, stores and trace import keep their rows in; every prefix of its
-rows is a CTEG. A `Cteg` is its rows in temporal projection order, its root
-and its declared type set; its graph is built only when asked for. It is
-proved row by row by a `NodeTable`, whose `to_cteg` does not validate it
-again, or by its public constructor, which validates the whole graph with
-diagnostics and is the reference the table is tested against.
+rows is a CTEG. Its rows, and a `Cteg`'s, hold plain values: id bytes and
+integer microseconds. Id and timestamp objects are built only where the
+API hands them out, such as `projection_rows` and `Cteg.graph`.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "CtegError",
@@ -206,13 +204,19 @@ class Timestamp:
     micros: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.micros, int) or isinstance(self.micros, bool):
-            raise ValueError("Timestamp.micros must be an int")
-        if not _TS_MIN <= self.micros <= _TS_MAX:
-            raise ValueError("Timestamp.micros outside the signed 64-bit range")
+        _micros(self.micros)
 
     def __repr__(self) -> str:
         return f"Timestamp({self.micros})"
+
+
+def _micros(value: object) -> int:
+    """`value` as a timestamp's microseconds: an int in the signed 64-bit range, else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("Timestamp.micros must be an int")
+    if not _TS_MIN <= value <= _TS_MAX:
+        raise ValueError("Timestamp.micros outside the signed 64-bit range")
+    return value
 
 
 @dataclass(frozen=True, order=True)
@@ -454,14 +458,14 @@ class TypedTemporalGraph:
 class Cteg:
     """A valid causal-temporal event graph: its root, its declared type set and its rows.
 
-    One row (node, parent or None, timestamp, type, payload) per node, in
-    projection order (see `projection_rows`); the type set may name types no
-    node uses. Holding a Cteg is proof of well-formedness: the public
-    constructor validates a graph, raising ValidationFailedError on any
-    defect, and keeps it; `NodeTable.to_cteg` orders rows its own check
-    proved. `graph` and `parent_map` are built from the rows on first use.
-    Traces are equal when their roots, type sets and rows are, which for
-    valid traces is exactly equality of their graphs.
+    One plain row (id bytes, parent id bytes or None, microseconds, type,
+    payload) per node, in projection order (see `projection_rows`); the type
+    set may name types no node uses. Holding a Cteg is proof of
+    well-formedness: the public constructor validates a graph, raising
+    ValidationFailedError on any defect, and keeps it; `NodeTable.to_cteg`
+    orders rows its own check proved. `graph` and `parent_map` are built
+    from the rows on first use. Traces are equal when their type sets and
+    rows are, which for valid traces is exactly equality of their graphs.
     """
 
     __slots__ = ("root", "_rows", "_types", "_graph", "_parents")
@@ -472,11 +476,11 @@ class Cteg:
             raise ValidationFailedError(diag)
         parents = {b: a for a, b in graph.edges}
         t, tau, payloads = graph.t, graph.tau, graph.payloads
-        rows = _in_projection_order([(n, parents.get(n), t[n], tau[n], payloads[n]) for n in t])
-        self._fill(root, rows, graph.type_set, graph, parents)
+        rows = _in_projection_order(_plain_rows((n, parents.get(n), t[n], tau[n], payloads[n]) for n in t))
+        self._fill(root, rows, graph.type_set, graph, None)
 
     @classmethod
-    def _proved(cls, rows: tuple[Row, ...], type_set: frozenset[EventType] | None = None) -> "Cteg":
+    def _proved(cls, rows: tuple[_Plain, ...], type_set: frozenset[EventType] | None = None) -> "Cteg":
         """The trace of rows already proved valid and in projection order, stored without validation.
 
         Without a type set it declares the types in use.
@@ -486,7 +490,7 @@ class Cteg:
             # A trace holds few type objects, so they are deduplicated by identity before any is hashed.
             type_set = frozenset(dict(zip(map(id, kinds), kinds)).values())
         c = object.__new__(cls)
-        c._fill(rows[0][0], rows, type_set, None, None)
+        c._fill(ActionId(rows[0][0]), rows, type_set, None, None)
         return c
 
     def _fill(self, *values) -> None:
@@ -506,7 +510,7 @@ class Cteg:
         """The trace as a typed temporal graph, built on first access."""
         g = self._graph
         if g is None:
-            g = graph_from_rows(self._rows, self._types)
+            g = graph_from_rows(_objects(self._rows), self._types)
             object.__setattr__(self, "_graph", g)
         return g
 
@@ -515,29 +519,54 @@ class Cteg:
             return True
         if not isinstance(other, Cteg):
             return NotImplemented
-        return self.root == other.root and self._types == other._types and self._rows == other._rows
+        return self._types == other._types and self._rows == other._rows  # the first row is the root's
 
     def __hash__(self) -> int:
-        return hash((self.root, self._types, self._rows))
+        return hash((self._types, self._rows))
 
     def __repr__(self) -> str:
         return f"Cteg(root={self.root.hex[:8]}, nodes={len(self._rows)})"
 
     def parent_map(self) -> dict[ActionId, ActionId]:
-        """Unique parent of every non-root node."""
+        """Unique parent of every non-root node, keyed in projection order."""
         parents = self._parents
         if parents is None:
-            parents = {row[0]: row[1] for row in islice(self._rows, 1, None)}
+            parents = dict(islice(_ids(self._rows), 1, None))
             object.__setattr__(self, "_parents", parents)
         return parents
 
 
 Row = tuple[ActionId, ActionId | None, Timestamp, EventType, bytes]
+_Plain = tuple[bytes, bytes | None, int, EventType, bytes]
 
 
-def _in_projection_order(rows: Iterable[Row]) -> tuple[Row, ...]:
-    """The rows sorted by (timestamp, id): one keyed sort, linear when they already are in that order."""
-    return tuple(sorted(rows, key=lambda row: (row[2].micros, row[0].value)))
+def _in_projection_order(rows: Iterable[_Plain]) -> tuple[_Plain, ...]:
+    """Plain rows sorted by (microseconds, id): one keyed sort, linear when they already are in that order."""
+    return tuple(sorted(rows, key=itemgetter(2, 0)))
+
+
+def _plain_rows(rows: Iterable[Row]) -> list[_Plain]:
+    """Object rows as plain rows; the first timestamp that is not a `Timestamp` raises TypeError."""
+    out = []
+    for node, parent, ts, event_type, payload in rows:
+        if not isinstance(ts, Timestamp):
+            raise TypeError(f"timestamp of node {node.hex} must be a Timestamp, not {type(ts).__name__}")
+        out.append((node.value, None if parent is None else parent.value, ts.micros, event_type, payload))
+    return out
+
+
+def _ids(rows: Iterable[_Plain]) -> Iterator[tuple[ActionId, ActionId | None]]:
+    """The (node, parent or None) ids of plain rows as `ActionId`s, one object per distinct id."""
+    ids: dict[bytes, ActionId] = {}
+    for node, parent, *_ in rows:
+        ids[node] = n = ActionId(node)
+        yield n, parent if parent is None else ids.get(parent) or ActionId(parent)
+
+
+def _objects(rows: Sequence[_Plain]) -> Iterator[Row]:
+    """Object rows of plain rows, with one `ActionId` per distinct id and one `Timestamp` per row."""
+    for (node, parent), (_, _, micros, event_type, payload) in zip(_ids(rows), rows):
+        yield node, parent, Timestamp(micros), event_type, payload
 
 
 def graph_from_rows(rows: Iterable[Row], type_set: Iterable[EventType] | None = None) -> TypedTemporalGraph:
@@ -565,78 +594,76 @@ def projection_rows(c: Cteg) -> list[Row]:
     """The trace's rows in temporal projection order, so every parent comes first.
 
     Timestamps rise strictly along every edge, so sorting the rows by
-    (timestamp, node id) lists each parent before its children. The list is
-    a fresh copy of the trace's own rows.
+    (timestamp, node id) lists each parent before its children. The list
+    and its id and timestamp objects are built on each call.
     """
-    return list(c._rows)
+    return list(_objects(c._rows))
 
 
 class NodeTable:
-    """Append-only node rows whose every prefix is a valid CTEG; owners serialize access.
+    """Append-only plain node rows whose every prefix is a valid CTEG; owners serialize access.
 
-    The one incremental check of the row invariant (parent present, fresh
-    id, strictly later timestamp, one root, a `Timestamp`, an `EventType`
-    and a bytes payload per row); `validate_cteg` is the whole-graph
-    reference. The check is the proof of `to_cteg`.
+    A row is (id bytes, parent id bytes or None, microseconds, `EventType`,
+    payload bytes), and `t` maps id bytes to microseconds; `_plain_rows`
+    converts object rows. `check` is the one incremental check of the row
+    invariant (parent present, fresh id, strictly later timestamp, one root,
+    an `EventType` and a bytes payload) and the proof of `to_cteg`;
+    `validate_cteg` is the whole-graph reference.
     """
 
     __slots__ = ("rows", "t")
 
     def __init__(self) -> None:
-        self.rows: list[Row] = []
-        self.t: dict[ActionId, Timestamp] = {}
+        self.rows: list[_Plain] = []
+        self.t: dict[bytes, int] = {}
 
-    def time_of(self, parent: ActionId) -> Timestamp:
-        """The timestamp of a node that rows may hang under."""
-        ts = self.t.get(parent)
-        if ts is None:
-            raise UnknownParentError(f"parent {parent.hex} is not in the table")
-        return ts
+    def time_of(self, parent: bytes) -> int:
+        """The microseconds of a node that rows may hang under."""
+        micros = self.t.get(parent)
+        if micros is None:
+            raise UnknownParentError(f"parent {parent.hex()} is not in the table")
+        return micros
 
-    def check(self, rows: Sequence[Row]) -> dict[ActionId, Timestamp]:
-        """Check a batch (parents may come earlier in it); return its `{node: ts}`, admitting nothing."""
+    def check(self, rows: Sequence[_Plain]) -> dict[bytes, int]:
+        """Check a batch (parents may come earlier in it); return its `{node: micros}`, admitting nothing."""
         t = self.t
-        new: dict[ActionId, Timestamp] = {}
-        for node, parent, ts, event_type, payload in rows:
+        new: dict[bytes, int] = {}
+        for node, parent, micros, event_type, payload in rows:
             if not isinstance(payload, bytes):
-                raise TypeError(f"payload of node {node.hex} must be bytes, not {type(payload).__name__}")
-            if not isinstance(ts, Timestamp):
-                raise TypeError(f"timestamp of node {node.hex} must be a Timestamp, not {type(ts).__name__}")
+                raise TypeError(f"payload of node {node.hex()} must be bytes, not {type(payload).__name__}")
             if not isinstance(event_type, EventType):
-                raise TypeError(f"type of node {node.hex} must be an EventType, not {type(event_type).__name__}")
+                raise TypeError(f"type of node {node.hex()} must be an EventType, not {type(event_type).__name__}")
             if node in t or node in new:
-                raise DuplicateNodeError(f"node {node.hex} is already in the table")
+                raise DuplicateNodeError(f"node {node.hex()} is already in the table")
             if parent is None:
                 if t or new:
                     raise DuplicateRootError("the table already has a parentless root row")
             else:
-                pt = t.get(parent) or new.get(parent)
+                pt = t.get(parent, new.get(parent))
                 if pt is None:
-                    raise UnknownParentError(f"parent {parent.hex} is not in the table")
-                if not pt.micros < ts.micros:
-                    raise TimestampOrderError(f"node {node.hex} t={ts.micros} not above parent t={pt.micros}")
-            new[node] = ts
+                    raise UnknownParentError(f"parent {parent.hex()} is not in the table")
+                if not pt < micros:
+                    raise TimestampOrderError(f"node {node.hex()} t={micros} not above parent t={pt}")
+            new[node] = micros
         return new
 
-    def admit(self, rows: Sequence[Row], new: dict[ActionId, Timestamp]) -> None:
+    def admit(self, rows: Sequence[_Plain], new: dict[bytes, int]) -> None:
         """Append a batch that `check` returned `new` for."""
         self.rows.extend(rows)
         self.t.update(new)
 
-    def append(self, rows: Sequence[Row]) -> None:
+    def append(self, rows: Sequence[_Plain]) -> None:
         """Check a batch and admit it whole, or raise and admit none of it."""
         self.admit(rows, self.check(rows))
 
-    def graft(self, p: ActionId, child: "NodeTable") -> None:
+    def graft(self, p: bytes, child: "NodeTable") -> None:
         """Append a valid child table under `p`, checking only disjointness and the new edge."""
         pt = self.time_of(p)
         if not self.t.keys().isdisjoint(child.t):
             raise DuplicateNodeError("child table shares node ids with this table")
         root, _, root_ts, root_type, payload = child.rows[0]
-        if not pt.micros < root_ts.micros:
-            raise TimestampOrderError(
-                f"attach point t={pt.micros} is not strictly below grafted root t={root_ts.micros}"
-            )
+        if not pt < root_ts:
+            raise TimestampOrderError(f"attach point t={pt} is not strictly below grafted root t={root_ts}")
         self.rows.append((root, p, root_ts, root_type, payload))
         self.rows.extend(islice(child.rows, 1, None))
         self.t.update(child.t)
@@ -782,13 +809,14 @@ def temporal_projection(c: Cteg) -> tuple[ActionId, ...]:
     Ties are broken by ascending node id so the projection is a deterministic
     function of the graph. It is the node column of `projection_rows`.
     """
-    return tuple(map(itemgetter(0), c._rows))
+    return tuple(map(ActionId, map(itemgetter(0), c._rows)))
 
 
 def height(c: Cteg) -> int:
     """Edge count of the longest root-to-leaf path."""
-    depth = {c.root: 0}
-    for row in islice(c._rows, 1, None):  # every parent comes first
+    rows = c._rows
+    depth = {rows[0][0]: 0}
+    for row in islice(rows, 1, None):  # every parent comes first
         depth[row[0]] = depth[row[1]] + 1
     return max(depth.values())
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby, islice, permutations, product, repeat
+from itertools import combinations_with_replacement, groupby, permutations, product, repeat
 from operator import attrgetter, eq, itemgetter, le
 from typing import AbstractSet, NamedTuple
 
@@ -45,12 +45,13 @@ from .core import (
     DisjointnessError,
     EventType,
     NodeTable,
-    Row,
     Timestamp,
     TypedTemporalGraph,
     UnknownNodeError,
     ValidationFailedError,
     Violation,
+    _objects,
+    _Plain,
     graft,
     graph_from_rows,
     graph_text,
@@ -152,19 +153,17 @@ class _Lane:
 class _Prefixes(Sequence):
     """The graphs of a row-backed execution sequence, each built only when asked.
 
-    Graph `k` is `graph_from_rows(rows[:marks[k]], type_set)`, so it declares
-    the types in use when `type_set` is None. Slices are views of the same
-    rows, and no built graph is kept. A view equals any tuple or view that
-    holds equal graphs and hashes as the tuple of its graphs, one graph at
-    a time. Two views with the same kind of type set and the same
-    nondecreasing marks are compared from their rows alone: the graph chains
-    are equal exactly when the declared type sets and the rows between
-    consecutive marks are equal as sets.
+    Graph `k` is that of the plain rows `rows[:marks[k]]` under `type_set`,
+    or under the types in use when it is None. Slices are views of the same
+    rows, and no built graph is kept. A view equals any tuple or view of
+    equal graphs and hashes as the tuple of its graphs. Two views with the
+    same kind of type set and nondecreasing marks are compared from their
+    rows alone: equal declared sets, and equal row sets between marks.
     """
 
     __slots__ = ("rows", "marks", "type_set")
 
-    def __init__(self, rows: Sequence[Row], marks: Sequence[int], type_set: frozenset[EventType] | None) -> None:
+    def __init__(self, rows: Sequence[_Plain], marks: Sequence[int], type_set: frozenset[EventType] | None) -> None:
         self.rows, self.marks, self.type_set = rows, marks, type_set
 
     def __len__(self) -> int:
@@ -173,7 +172,7 @@ class _Prefixes(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return _Prefixes(self.rows, self.marks[k], self.type_set)
-        return graph_from_rows(islice(self.rows, self.marks[k]), self.type_set)
+        return graph_from_rows(_objects(self.rows[: self.marks[k]]), self.type_set)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Prefixes):
@@ -217,14 +216,12 @@ class ExecutionSequence:
       constructor builds this form and proves extension pair by pair; `phi`
       builds it through `_chain`, without the proof, from injectively
       renamed checked chains.
-    - row-backed: one shared list of node-table rows, one mark (a row
-      count) per state, and an optional declared type set (`_rows`);
-      `Session.history` and `e0_normalize` build this form. A prefix of one
-      row list extends every shorter prefix, so nothing is proved. Its
-      length and marks need no graph; indexing, slicing, iteration and
-      `final` build each graph they return and keep none, so the sequence
-      costs memory linear in its rows. It equals, and hashes as, its
-      graph-backed copy.
+    - row-backed: one shared list of plain node-table rows, one mark (a
+      row count) per state, and an optional declared type set (`_rows`),
+      built by `Session.history` and `e0_normalize`. A prefix of one row
+      list extends every shorter prefix, so nothing is proved. Indexing,
+      slicing, iteration and `final` build each graph they return and keep
+      none. It equals, and hashes as, its graph-backed copy.
     """
 
     graphs: Sequence[TypedTemporalGraph]
@@ -257,8 +254,8 @@ class ExecutionSequence:
         return s
 
     @classmethod
-    def _rows(cls, rows: Sequence[Row], marks: Sequence[int], steps: tuple[StepLabel, ...] | None, type_set=None):
-        """The row-backed chain of `graph_from_rows(rows[:m], type_set)` for each mark `m`."""
+    def _rows(cls, rows: Sequence[_Plain], marks: Sequence[int], steps: tuple[StepLabel, ...] | None, type_set=None):
+        """The row-backed chain of the graphs of the plain rows `rows[:m]` and `type_set`, one per mark `m`."""
         return cls._chain(_Prefixes(rows, marks, type_set), steps)
 
     @property
@@ -443,12 +440,11 @@ def e0_normalize(c: Cteg) -> ExecutionSequence:
     step, in nondecreasing timestamp order with node-id tie-breaking, each
     from its unique parent. The sequence therefore has exactly as many graphs
     as `c` has nodes: the prefixes of `projection_rows(c)`, each declaring
-    the type set of `c`. It is row-backed (see `ExecutionSequence`) and
-    shares the trace's own rows, so it costs memory linear in `c`, and a
-    graph is built only when asked for.
+    the type set of `c`. It is row-backed (see `ExecutionSequence`) over the
+    trace's own rows, and its labels hold the ids of `c.parent_map()`.
     """
     rows = c._rows
-    steps = tuple(Emission(parent, frozenset({node})) for node, parent, *_ in islice(rows, 1, None))
+    steps = tuple(Emission(parent, frozenset({node})) for node, parent in c.parent_map().items())
     return ExecutionSequence._rows(rows, range(1, len(rows) + 1), steps, c._types)
 
 
@@ -483,10 +479,8 @@ def is_member_e_infinity(seq: ExecutionSequence) -> Diagnostics:
     Every prefix of a member is again a member by construction.
 
     A row-backed sequence is proved in one `NodeTable` pass over its rows
-    (`_row_proofs`), in time linear in them and without building a graph.
-    A state or step the rows do not prove, and every one from a delta the
-    table refuses on, goes through the graphs, which decide it and word its
-    messages exactly as for a graph-backed sequence.
+    (`_row_proofs`); what the rows do not prove goes through the graphs,
+    which word the messages as for a graph-backed sequence.
     """
     graphs = seq.graphs
     proofs = _row_proofs(graphs) if isinstance(graphs, _Prefixes) else repeat(False)
@@ -525,14 +519,12 @@ def is_member_e_infinity(seq: ExecutionSequence) -> Diagnostics:
 def _row_proofs(view: _Prefixes) -> Iterator[bool]:
     """Whether the rows alone prove the initial state, then each step, legal.
 
-    One `NodeTable` admits each state's delta of rows in order, so its row
-    check proves every state a valid CTEG, and the shape of a step is read
-    from parent pointers alone: the initial state is proved when it is one
-    row; a step is an emission when every row hangs from the first row's
-    parent, and an invocation when every row after the first hangs inside
-    the delta. A delta that is empty, holds a type outside the declared set
-    or is refused by the table ends the proofs, and every later state is
-    left to the graphs. Whatever these prove, the graph checks accept.
+    One `NodeTable` admits each state's delta in order, proving every state
+    a valid CTEG, and parent pointers give a step's shape: the initial state
+    is one row; an emission hangs every row from the first row's parent, an
+    invocation every row after the first inside the delta. A delta that is
+    empty, holds an undeclared type or is refused ends the proofs, and later
+    states are left to the graphs, which accept whatever these prove.
     """
     rows, type_set, table, lo = view.rows, view.type_set, NodeTable(), 0
     for hi in view.marks:
@@ -541,7 +533,7 @@ def _row_proofs(view: _Prefixes) -> Iterator[bool]:
             break
         try:
             new = table.check(delta)
-        except (CtegError, TypeError):
+        except CtegError:
             break
         table.admit(delta, new)
         if not lo:  # the initial state

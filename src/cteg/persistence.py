@@ -2,12 +2,12 @@
 
 A trace persists as rows of a node table: node id, session id, optional
 parent pointer, timestamp, event type and an opaque payload. The stores are
-append-only by design, and their one write of rows is `append_rows`: a
-batch of one session's rows, `append_trace` being the batch of a whole
-trace. Each session's rows live in a `core.NodeTable`, the same table a
-live session keeps, so the store checks only what is its own (registered
-session, payload cap) and the table checks the batch (parents present,
-fresh ids, strictly increasing timestamps, single root). A batch is
+append-only by design, and their one write is a batch of one session's
+rows, kept in a `core.NodeTable` of plain rows (id bytes, integer
+microseconds), the table a live session keeps. `append_rows` converts
+object rows at the boundary; `append_trace`, the log decoder and the text
+parser hand over plain rows. The store checks what is its own
+(registered session, payload cap) and the table checks the batch, which is
 admitted whole or not at all, so every per-session reconstruction is a
 valid CTEG at all times, including after a crash that truncated the log.
 
@@ -23,12 +23,8 @@ The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
 order, with base64 payloads. Export is canonical, so byte equality of two
 exports coincides with equality of the traces they encode (given equal
-session ids). Import sorts the parsed rows into projection order and
-appends them to a fresh `NodeTable`, the same proof a store's
-`load_session` relies on; text the table rejects is validated whole by
-`Cteg(...)` only to raise its error and diagnostics. A trace is its rows
-in projection order, so export and `append_trace` read them as they are
-and build no graph.
+session ids). Import proves the parsed rows with a `NodeTable`, as
+`load_session` does (see `import_trace`).
 """
 
 from __future__ import annotations
@@ -53,14 +49,16 @@ from .core import (
     NodeTable,
     Row,
     StoreError,
-    Timestamp,
     TimestampOrderError,
     TypedTemporalGraph,
     UnknownParentError,
     _in_projection_order,
+    _micros,
+    _objects,
+    _Plain,
+    _plain_rows,
     graph_from_rows,
     graph_text,
-    projection_rows,
 )
 from .session import SessionId
 
@@ -147,20 +145,24 @@ class MemoryStore:
         """Check a batch of one session's rows, write it, then admit it whole.
 
         Each row is (node, parent or None, timestamp, type, payload); a
-        parent may come earlier in the batch, and every payload must fit
-        the cap.
+        parent may come earlier in the batch, and every payload must be
+        bytes that fit the cap.
         """
+        self._append(session_id, _plain_rows(rows))
+
+    def _append(self, session_id: SessionId, rows: Sequence[_Plain]) -> None:
+        """`append_rows` of plain rows."""
         with self._lock:
+            table = self._table(session_id)
+            new = table.check(rows)  # payloads are bytes before the cap measures them
             cap = self._payload_cap
             big = next((len(p) for *_, p in rows if len(p) > cap), None)
             if big is not None:
                 raise PayloadTooLargeError(f"payload of {big} bytes exceeds cap of {cap}")
-            table = self._table(session_id)
-            new = table.check(rows)
             self._write(session_id, rows)
             table.admit(rows, new)
 
-    def _write(self, session_id: SessionId, rows: Sequence[Row] | None) -> None:
+    def _write(self, session_id: SessionId, rows: Sequence[_Plain] | None) -> None:
         """Persist a checked registration (`rows` None) or batch before it is admitted; memory needs nothing."""
 
     def _table(self, session_id: SessionId) -> NodeTable:
@@ -196,16 +198,16 @@ _ROOT_HEAD = struct.Struct("<B16s16sBqH")
 _CHILD_HEAD = struct.Struct("<B16s16sB16sqH")
 
 
-def _encode_rows(session_id: SessionId, rows: Sequence[Row]) -> bytearray:
-    """One v1 node record per row, concatenated."""
+def _encode_rows(session_id: SessionId, rows: Sequence[_Plain]) -> bytearray:
+    """One v1 node record per plain row, concatenated."""
     out = bytearray()
     sid = session_id.value
-    for node, parent, ts, event_type, payload in rows:
+    for node, parent, micros, event_type, payload in rows:
         name = event_type.name.encode("utf-8")
         if parent is None:
-            head = _ROOT_HEAD.pack(_KIND_NODE, node.value, sid, 0, ts.micros, len(name))
+            head = _ROOT_HEAD.pack(_KIND_NODE, node, sid, 0, micros, len(name))
         else:
-            head = _CHILD_HEAD.pack(_KIND_NODE, node.value, sid, 1, parent.value, ts.micros, len(name))
+            head = _CHILD_HEAD.pack(_KIND_NODE, node, sid, 1, parent, micros, len(name))
         out += _U32.pack(len(head) + len(name) + 4 + len(payload))
         out += head
         out += name
@@ -220,11 +222,8 @@ def _event_type(name: str) -> EventType:
     return EventType(name)
 
 
-def _decode_record(body: bytes, ids: dict[bytes, ActionId]) -> SessionId | tuple[bytes, Row]:
-    """A session registration, or a node row with its session's raw id; any malformed body is corruption.
-
-    `ids` holds the ids decoded so far, so a parent reuses its node's object.
-    """
+def _decode_record(body: bytes) -> SessionId | tuple[bytes, _Plain]:
+    """A session registration, or a plain node row with its session's raw id; any malformed body is corruption."""
     try:
         kind = body[0]
         if kind == _KIND_SESSION:
@@ -238,8 +237,8 @@ def _decode_record(body: bytes, ids: dict[bytes, ActionId]) -> SessionId | tuple
             _, node, sid, _, micros, type_len = _ROOT_HEAD.unpack_from(body)
             parent, offset = None, _ROOT_HEAD.size
         elif flag == 1:
-            _, node, sid, _, parent_id, micros, type_len = _CHILD_HEAD.unpack_from(body)
-            parent, offset = ids.get(parent_id) or ActionId(parent_id), _CHILD_HEAD.size
+            _, node, sid, _, parent, micros, type_len = _CHILD_HEAD.unpack_from(body)
+            offset = _CHILD_HEAD.size
         else:
             raise CorruptStoreError(f"bad parent flag {flag}")
         end = offset + type_len
@@ -247,8 +246,7 @@ def _decode_record(body: bytes, ids: dict[bytes, ActionId]) -> SessionId | tuple
         payload = body[end + 4 :]
         if len(payload) != payload_len:
             raise CorruptStoreError("node record length mismatch")
-        node_id = ids[node] = ActionId(node)
-        return sid, (node_id, parent, Timestamp(micros), _event_type(body[offset:end].decode("utf-8")), payload)
+        return sid, (node, parent, micros, _event_type(body[offset:end].decode("utf-8")), payload)
     except (IndexError, ValueError, struct.error) as exc:
         raise CorruptStoreError(f"malformed record: {exc}") from exc
 
@@ -277,20 +275,17 @@ def _open_log(path: Path):
 class FileStore(MemoryStore):
     """Single-file append log behind the in-memory store.
 
-    Opening an existing file replays every complete record through the same
-    node-table check as an append; semantic violations (which cannot be
-    produced through this interface) therefore surface as corruption, named
-    by record index and byte offset, and a torn tail is cut off. The payload
-    cap governs new appends only: replay admits every payload already in the
-    log, whatever cap it was written under. A missing file, or one cut short
-    inside its header, starts a new log. The store then keeps one unbuffered
-    append handle until `close` (or the end of a `with` block). A batch of
-    rows is encoded as one node record per row and written with one `write`
-    before the store admits it; a failed or short write is rolled back. An
-    append never goes to a log that is no longer linked (removed, or
-    replaced by a rename over it): it reopens the path, and fails while no
-    file is there. `open_report` says what opening the file found; cutting
-    a torn tail is also logged as a warning on the `cteg` logger.
+    Opening an existing file replays every complete record through the
+    node-table check of an append, so a semantic violation surfaces as
+    corruption named by record index and byte offset; a torn tail is cut
+    off (and logged as a warning on the `cteg` logger), and `open_report`
+    says what opening found. Replay admits every payload already in the log,
+    whatever cap it was written under. A missing file, or one cut short
+    inside its header, starts a new log. The store keeps one unbuffered
+    append handle until `close` (or the end of a `with` block), and writes
+    each batch with one `write` before admitting it, rolling back a failed
+    or short write. An append never goes to a log that is no longer linked
+    (removed, or renamed over): it reopens the path, failing if it is gone.
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -315,14 +310,13 @@ class FileStore(MemoryStore):
             raise CorruptStoreError("missing store magic header")
         tables = self._tables
         by_sid: dict[bytes, NodeTable] = {}
-        ids: dict[bytes, ActionId] = {}
         index, offset = 0, len(_MAGIC)
         while offset + 4 <= len(data):
             end = offset + 4 + _U32.unpack_from(data, offset)[0]
             if end > len(data):
                 break
             try:
-                record = _decode_record(data[offset + 4 : end], ids)
+                record = _decode_record(data[offset + 4 : end])
                 if isinstance(record, SessionId):
                     if record in tables:
                         raise DuplicateSessionError(f"session {record.hex} is already registered")
@@ -340,7 +334,7 @@ class FileStore(MemoryStore):
             _logger.warning("store.torn_tail_cut path=%s offset=%d bytes=%d records=%d", self._path, offset, torn, index)
         return OpenReport(index, len(tables), torn, False)
 
-    def _write(self, session_id: SessionId, rows: Sequence[Row] | None) -> None:
+    def _write(self, session_id: SessionId, rows: Sequence[_Plain] | None) -> None:
         if rows is None:
             blob = _U32.pack(17) + bytes([_KIND_SESSION]) + session_id.value
         else:
@@ -374,12 +368,11 @@ class FileStore(MemoryStore):
 def append_trace(store: MemoryStore, session_id: SessionId, c: Cteg) -> None:
     """Write a whole trace as one batch of rows, parents before children.
 
-    Temporal projection order guarantees every parent row precedes its
-    children, so the batch passes the store's check; the rows are the
-    trace's own. The batch is admitted whole or not at all. The session
+    The batch is the trace's own plain rows, whose projection order lists
+    every parent first. It is admitted whole or not at all. The session
     must already be registered.
     """
-    store.append_rows(session_id, projection_rows(c))
+    store._append(session_id, c._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +391,27 @@ def export_trace(c: Cteg, session: SessionId) -> bytes:
     equal traces yields identical bytes.
     """
     lines = [_HEADER_PREFIX + session.hex]
-    for node, parent, ts, event_type, payload in projection_rows(c):
-        parent_field = parent.hex if parent is not None else "-"
+    for node, parent, micros, event_type, payload in c._rows:
+        parent_field = parent.hex() if parent is not None else "-"
         payload_field = base64.b64encode(payload).decode("ascii")
-        lines.append("\t".join((node.hex, parent_field, str(ts.micros), event_type.name, payload_field)))
+        lines.append("\t".join((node.hex(), parent_field, str(micros), event_type.name, payload_field)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_id(field: str, what: str) -> ActionId:
+def _parse_id(field: str, what: str, lineno: int) -> bytes:
     try:
         if len(field) != 32:
             raise ValueError("expected 32 hex characters")
-        return ActionId.from_hex(field)
+        value = bytes.fromhex(field)
+        if len(value) != 16:  # `fromhex` skips whitespace
+            raise ValueError("ActionId requires exactly 16 bytes")
+        return value
     except ValueError as exc:
-        raise TraceFormatError(f"bad {what} {field!r}: {exc}") from exc
+        raise TraceFormatError(f"bad {what} on line {lineno} {field!r}: {exc}") from exc
 
 
-def _parse_rows(data: bytes) -> tuple[list[Row], set[ActionId], SessionId]:
-    """The text's node rows in file order, at least one, their ids and the session id; each line is checked on its own."""
+def _parse_rows(data: bytes) -> tuple[list[_Plain], set[bytes], SessionId]:
+    """The text's plain node rows in file order, at least one, their ids and the session id; each line is checked on its own."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -433,22 +429,19 @@ def _parse_rows(data: bytes) -> tuple[list[Row], set[ActionId], SessionId]:
     except ValueError as exc:
         raise TraceFormatError(f"bad session id in header: {exc}") from exc
 
-    rows: list[Row] = []
-    seen: set[ActionId] = set()
-    # One object per node id: a parent field that repeats a node field reuses
-    # the node's id, so lookups on it stop at identity.
-    ids: dict[str, ActionId] = {}
+    rows: list[_Plain] = []
+    seen: set[bytes] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != 5:
             raise TraceFormatError(f"line {lineno}: expected 5 tab-separated fields, got {len(fields)}")
         node_field, parent_field, ts_field, type_field, payload_field = fields
-        node = _parse_id(node_field, f"node id on line {lineno}")
+        node = _parse_id(node_field, "node id", lineno)
         if node in seen:
-            raise TraceFormatError(f"line {lineno}: duplicate node id {node.hex}")
-        parent = None if parent_field == "-" else ids.get(parent_field) or _parse_id(parent_field, f"parent id on line {lineno}")
+            raise TraceFormatError(f"line {lineno}: duplicate node id {node.hex()}")
+        parent = None if parent_field == "-" else _parse_id(parent_field, "parent id", lineno)
         try:
-            ts = Timestamp(int(ts_field))
+            micros = _micros(int(ts_field))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad timestamp: {exc}") from exc
         try:
@@ -460,26 +453,25 @@ def _parse_rows(data: bytes) -> tuple[list[Row], set[ActionId], SessionId]:
         except (ValueError, UnicodeEncodeError) as exc:
             raise TraceFormatError(f"line {lineno}: bad base64 payload: {exc}") from exc
         seen.add(node)
-        ids[node_field] = node
-        rows.append((node, parent, ts, event_type, payload))
+        rows.append((node, parent, micros, event_type, payload))
     if not rows:
         raise TraceFormatError("trace has a header but no node rows")
     return rows, seen, session
 
 
-def _graph_of(rows: list[Row], seen: set[ActionId]) -> tuple[TypedTemporalGraph, ActionId]:
-    """The rows' unvalidated graph and root candidate, once the rows can represent one."""
+def _graph_of(rows: list[_Plain], seen: set[bytes]) -> tuple[TypedTemporalGraph, ActionId]:
+    """The plain rows' unvalidated graph and root candidate, once the rows can represent one."""
     roots = [node for node, parent, *_ in rows if parent is None]
     if not roots:
         raise TraceFormatError("trace has no parentless root row")
     for node, parent, *_ in rows:
         if parent is not None and parent not in seen:
-            raise TraceFormatError(f"node {node.hex} references unknown parent {parent.hex}")
+            raise TraceFormatError(f"node {node.hex()} references unknown parent {parent.hex()}")
     try:
-        graph = graph_from_rows(rows)
+        graph = graph_from_rows(_objects(rows))
     except ValueError as exc:
         raise TraceFormatError(f"rows do not form a representable graph: {exc}") from exc
-    return graph, roots[0]
+    return graph, ActionId(roots[0])
 
 
 def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
@@ -497,12 +489,10 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
 def import_trace(data: bytes) -> tuple[Cteg, SessionId]:
     """Parse and prove trace text; the exact inverse of `export_trace`.
 
-    The parsed rows, sorted into projection order, pass a fresh `NodeTable`'s
-    row check, the same proof a store's `load_session` relies on, and the
-    trace is those sorted rows, not sorted again. Sorted rows of a valid
-    trace list each parent first, so the table accepts valid text in any
-    row order. Text it rejects takes the reference path on its rows in
-    file order, only for the error: `parse_trace`'s representability
+    The parsed rows, sorted into projection order, which lists each parent
+    of a valid trace first, pass a fresh `NodeTable`'s row check, so valid
+    text in any row order is accepted. Text the table rejects takes the
+    reference path, only for the error: `parse_trace`'s representability
     checks, then the validating `Cteg(...)` with its diagnostics.
 
     Raises TraceFormatError on malformed text and ValidationFailedError when

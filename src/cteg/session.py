@@ -14,19 +14,12 @@ This keeps every causal edge strictly increasing under frozen or colliding
 clocks while still allowing sibling nodes of different sessions to share a
 timestamp.
 
-A session keeps its trace in a `core.NodeTable`, the append-only node
-table the stores keep too, so an emit or a graft costs what it adds, not
-the size of the trace. The table checks each emitted batch row by row and
-each graft by its one new edge. No step re-validates the whole trace:
-those checks are the proof, so `snapshot` builds the trace from the rows
-once per change and does not validate it again. Beside the rows a session
-keeps one mark (a row count) per state and the child grafted at each
-invocation step, nothing per emit. `history` is a row-backed execution
-sequence over the table's own rows: an emission label is read from the
-rows between two marks, and an invocation label carries the settled
-child's own history. It builds no graph per state and skips the
-pair-by-pair extension proof: a prefix of the append-only rows extends
-every shorter one.
+A session keeps its trace in a `core.NodeTable` of plain rows, the table
+the stores keep too, so an emit or a graft costs what it adds: the table
+checks each batch row by row and each graft by its one new edge, and no
+step re-validates the whole trace. Beside the rows a session keeps one
+mark (a row count) per state and each grafted child, nothing per emit;
+`history` reads its states and labels from them.
 
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
@@ -49,8 +42,8 @@ from .core import (
     CtegError,
     EventType,
     NodeTable,
-    Row,
     Timestamp,
+    _micros,
     _OpaqueId,
 )
 from .dynamics import (
@@ -154,10 +147,10 @@ class Session:
         self._status = SessionStatus.ACTIVE
 
         root = ActionId.fresh(id_factory)
-        root_ts = self._issue(lower_bound)  # every later stamp exceeds the root's, so the bound holds for all
+        root_ts = self._issue(lower_bound and lower_bound.micros)  # later stamps exceed it: the bound holds for all
         self._root = root
         self._table = NodeTable()
-        self._table.append([(root, None, root_ts, root_type, payload)])
+        self._table.append([(root.value, None, root_ts, root_type, payload)])
         self._marks: list[int] = [1]  # row count of each state in turn
         self._grafts: dict[int, Session] = {}  # step index: the child grafted at that step
         self._snapshot: Cteg | None = None
@@ -189,21 +182,18 @@ class Session:
         """Every state the trace has passed through, with step labels.
 
         Row-backed (see `ExecutionSequence`): it shares the table's rows,
-        which only grow, and keeps the row count of each state, so it costs
-        memory linear in the trace and builds a state's graph only when
-        asked. Graph `k` declares the types in use in state `k`. Step `k`
-        added `rows[lo:hi]` between marks `k` and `k + 1`: an emission of
-        their nodes under their one parent, or a graft whose first row
-        hangs the child's root under the invocation node. Each invocation
-        label carries the settled child's history; its attach node is the
-        child's root, so no graph is built to check it.
+        which only grow, so it costs memory linear in the trace. Graph `k`
+        declares the types in use in state `k`. Step `k` added the rows
+        between marks `k` and `k + 1`: an emission under their one parent,
+        or a graft whose first row hangs the child's root, the label's
+        attach node, under the invocation node.
         """
         with self._lock:
             rows, marks, grafts = self._table.rows, self._marks, self._grafts
             labels = tuple(
-                Invocation._proved(rows[lo][1], grafts[k].history(), rows[lo][0])
+                Invocation._proved(ActionId(rows[lo][1]), grafts[k].history(), ActionId(rows[lo][0]))
                 if k in grafts
-                else Emission(rows[lo][1], frozenset(map(itemgetter(0), rows[lo:hi])))
+                else Emission(ActionId(rows[lo][1]), frozenset(map(ActionId, map(itemgetter(0), rows[lo:hi]))))
                 for k, (lo, hi) in enumerate(zip(marks, marks[1:]))
             )
             return ExecutionSequence._rows(rows, tuple(marks), labels)
@@ -218,21 +208,22 @@ class Session:
         """
         with self._lock:
             self._require_active()
-            floor = self._table.time_of(parent)
+            p = parent.value
+            floor = self._table.time_of(p)
             if not events:
                 raise EmptyEmissionError("emit requires at least one event")
             last = self._last
+            ids, rows = [], []
             try:
-                rows: list[Row] = [
-                    (ActionId.fresh(self._id_factory), parent, self._issue(floor), kind, payload)
-                    for kind, payload in events
-                ]
+                for kind, payload in events:
+                    ids.append(node := ActionId.fresh(self._id_factory))
+                    rows.append((node.value, p, self._issue(floor), kind, payload))
                 self._table.append(rows)
             except BaseException:
                 self._last = last  # roll back: the batch issued nothing
                 raise
             self._advance()
-            return [row[0] for row in rows]
+            return ids
 
     def invoke_subagent(
         self,
@@ -251,7 +242,7 @@ class Session:
             child = Session(
                 root_type,
                 payload=payload,
-                lower_bound=self._table.time_of(parent),
+                lower_bound=Timestamp(self._table.time_of(parent.value)),
                 wall_clock=self._wall,
                 id_factory=self._id_factory,
             )
@@ -291,21 +282,21 @@ class Session:
                 if child._status is not SessionStatus.ACTIVE:
                     raise InactiveSessionError(f"child session is already {child._status.value}")
                 if graft_trace:
-                    self._table.graft(handle.parent_node, child._table)
+                    self._table.graft(handle.parent_node.value, child._table)
                     self._grafts[len(self._marks) - 1] = child
                     self._advance()
                 child._status = final_status
             handle._consumed = True
 
-    def _issue(self, floor: Timestamp | None) -> Timestamp:
-        """The wall clock's time, raised strictly above the last stamp issued and above `floor`."""
+    def _issue(self, floor: int | None) -> int:
+        """The wall clock's microseconds, raised strictly above the last stamp issued and above `floor`."""
         stamp = self._wall()
         if self._last is not None:
             stamp = max(stamp, self._last + 1)
         if floor is not None:
-            stamp = max(stamp, floor.micros + 1)
+            stamp = max(stamp, floor + 1)
         self._last = stamp
-        return Timestamp(stamp)
+        return _micros(stamp)
 
     def _advance(self) -> None:
         self._marks.append(len(self._table.rows))

@@ -35,6 +35,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cteg import (
+    ActionId,
     CompatibilityError,
     Cteg,
     CtegError,
@@ -52,7 +53,7 @@ from cteg import (
     import_trace,
     validate_cteg,
 )
-from cteg.core import NodeTable, StoreError, graph_from_rows
+from cteg.core import NodeTable, StoreError, _objects, _plain_rows, graph_from_rows
 from util import aid, ts, ty
 
 FAULTS = ("unknown-parent", "reused-id", "equal-time", "earlier-time", "second-root", "parent-first")
@@ -63,32 +64,32 @@ _scripts = st.lists(_steps, max_size=25)
 
 
 def _row(rows, fault, pick, step, fresh):
-    """The next row for a table holding `rows`, with `fault` injected when it applies."""
+    """The next plain row for a table holding `rows`, with `fault` injected when it applies."""
     if not rows or fault == "parent-first":
-        parent = aid(10_000 + pick) if fault == "parent-first" else None
-        return (fresh, parent, ts(step), ty("evt"), b"")
+        parent = aid(10_000 + pick).value if fault == "parent-first" else None
+        return (fresh.value, parent, step, ty("evt"), b"")
     parent, _, parent_ts, _, _ = rows[pick % len(rows)]
-    node, micros = fresh, parent_ts.micros + step
+    node, micros = fresh.value, parent_ts + step
     if fault == "unknown-parent":
-        parent = aid(20_000 + pick)
+        parent = aid(20_000 + pick).value
     elif fault == "reused-id":
         node = rows[(pick * 7) % len(rows)][0]
     elif fault == "equal-time":
-        micros = parent_ts.micros
+        micros = parent_ts
     elif fault == "earlier-time":
-        micros = parent_ts.micros - step
+        micros = parent_ts - step
     elif fault == "second-root":
         parent = None
-    return (node, parent, ts(micros), ty("evt" if step % 2 else "alt"), bytes([pick % 7]))
+    return (node, parent, micros, ty("evt" if step % 2 else "alt"), bytes([pick % 7]))
 
 
 def _reference_accepts(rows):
-    """Whether `rows` form a valid CTEG rooted at the first row, by whole-graph validation."""
+    """Whether plain `rows` form a valid CTEG rooted at the first row, by whole-graph validation."""
     try:
-        graph = graph_from_rows(rows)
+        graph = graph_from_rows(_objects(rows))
     except ValueError:
         return False
-    return validate_cteg(graph, rows[0][0]).ok
+    return validate_cteg(graph, ActionId(rows[0][0])).ok
 
 
 def _rows_of(script, start=0):
@@ -165,12 +166,12 @@ def test_a_graft_matches_graft_cteg(host, child, child_start, attach, unknown_at
     parent_table = _valid_table(host, 0)
     child_table = _valid_table(child, child_start)
     # Shift the child in time so the new edge is sometimes not strictly increasing.
-    child_table.rows = [(n, p, ts(t.micros + child_offset), ty_, pl) for n, p, t, ty_, pl in child_table.rows]
+    child_table.rows = [(n, p, t + child_offset, ty_, pl) for n, p, t, ty_, pl in child_table.rows]
     child_table.t = {r[0]: r[2] for r in child_table.rows}
-    p = aid(9_999) if unknown_attach else parent_table.rows[attach % len(parent_table.rows)][0]
+    p = aid(9_999).value if unknown_attach else parent_table.rows[attach % len(parent_table.rows)][0]
     c1, c2 = parent_table.to_cteg(), child_table.to_cteg()
     try:
-        reference = graft_cteg(c1, p, c2)
+        reference = graft_cteg(c1, ActionId(p), c2)
     except CtegError as exc:
         reference = exc
     before = (list(parent_table.rows), dict(parent_table.t))
@@ -209,7 +210,7 @@ def test_memory_and_file_stores_raise_the_same_errors(script):
                 outcomes = []
                 for store in (memory, file_store):
                     try:
-                        store.append_rows(target, [record])
+                        store.append_rows(target, list(_objects([record])))
                         outcomes.append(None)
                     except StoreError as exc:
                         outcomes.append(type(exc))
@@ -227,9 +228,9 @@ def _grown_table(host, grafts):
     table = _valid_table(host, 0)
     for k, (child, attach) in enumerate(grafts):
         p = table.rows[attach % len(table.rows)][0]
-        shift = table.t[p].micros  # child roots sit at t=1, so this makes the new edge strictly increasing
+        shift = table.t[p]  # child roots sit at t=1, so this makes the new edge strictly increasing
         shifted = NodeTable()
-        shifted.append([(n, q, ts(t.micros + shift), kind, pl) for n, q, t, kind, pl in _valid_table(child, 1000 * (k + 1)).rows])
+        shifted.append([(n, q, t + shift, kind, pl) for n, q, t, kind, pl in _valid_table(child, 1000 * (k + 1)).rows])
         table.graft(p, shifted)
     return table
 
@@ -242,7 +243,7 @@ def test_to_cteg_builds_what_the_validating_constructor_builds(host, grafts):
     table = _grown_table(host, grafts)
     rows = list(table.rows)
     trace = table.to_cteg()
-    reference = Cteg(graph_from_rows(rows), rows[0][0])
+    reference = Cteg(graph_from_rows(_objects(rows)), ActionId(rows[0][0]))
     assert trace == reference and hash(trace) == hash(reference)
     g, r = trace.graph, reference.graph
     assert (g.nodes, g.edges, g.t, g.tau, g.type_set, g.payloads) == (r.nodes, r.edges, r.t, r.tau, r.type_set, r.payloads)
@@ -253,7 +254,7 @@ def test_to_cteg_builds_what_the_validating_constructor_builds(host, grafts):
     assert validate_cteg(g, trace.root).ok
 
     # The trace is a value: rows appended later do not reach it.
-    table.append([(aid(99_999), rows[0][0], ts(rows[0][2].micros + 1), ty("late"), b"")])
+    table.append([(aid(99_999).value, rows[0][0], rows[0][2] + 1, ty("late"), b"")])
     assert trace == reference and aid(99_999) not in g.t
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -261,7 +262,7 @@ def test_to_cteg_builds_what_the_validating_constructor_builds(host, grafts):
         with FileStore(path) as store:
             sid = store.register_session(SessionId.from_int(1))
             for row in rows:
-                store.append_rows(sid, [row])
+                store.append_rows(sid, list(_objects([row])))
         with FileStore(path) as reopened:
             assert reopened.load_session(sid) == reference
 
@@ -330,11 +331,11 @@ def test_import_proves_exactly_once():
 def test_a_payload_that_is_not_bytes_is_rejected(payload):
     table = NodeTable()
     with pytest.raises(TypeError, match="must be bytes"):
-        table.append([(aid(1), None, ts(0), ty("evt"), payload)])
-    table.append([(aid(1), None, ts(0), ty("evt"), b"")])
+        table.append(_plain_rows([(aid(1), None, ts(0), ty("evt"), payload)]))
+    table.append(_plain_rows([(aid(1), None, ts(0), ty("evt"), b"")]))
     with pytest.raises(TypeError, match="must be bytes"):
-        table.append([(aid(2), aid(1), ts(1), ty("evt"), b""), (aid(3), aid(1), ts(1), ty("evt"), payload)])
-    assert table.rows == [(aid(1), None, ts(0), ty("evt"), b"")] and table.t == {aid(1): ts(0)}
+        table.append(_plain_rows([(aid(2), aid(1), ts(1), ty("evt"), b""), (aid(3), aid(1), ts(1), ty("evt"), payload)]))
+    assert table.rows == _plain_rows([(aid(1), None, ts(0), ty("evt"), b"")]) and table.t == {aid(1).value: 0}
 
 
 @pytest.mark.parametrize("field, value, name", [(2, 0, "Timestamp, not int"), (3, "evt", "EventType, not str"), (2, None, "Timestamp, not NoneType")])
@@ -342,9 +343,9 @@ def test_a_timestamp_or_type_that_is_not_ours_is_rejected(field, value, name):
     table = NodeTable()
     root = (aid(1), None, ts(0), ty("evt"), b"")
     with pytest.raises(TypeError, match=f"must be an? {name}"):
-        table.append([(*root[:field], value, *root[field + 1 :])])
-    table.append([root])
+        table.append(_plain_rows([(*root[:field], value, *root[field + 1 :])]))
+    table.append(_plain_rows([root]))
     child = (aid(2), aid(1), ts(1), ty("evt"), b"")
     with pytest.raises(TypeError, match=f"must be an? {name}"):
-        table.append([child, (*child[:field], value, *child[field + 1 :])])
-    assert table.rows == [root] and table.t == {aid(1): ts(0)}
+        table.append(_plain_rows([child, (*child[:field], value, *child[field + 1 :])]))
+    assert table.rows == _plain_rows([root]) and table.t == {aid(1).value: 0}

@@ -151,7 +151,7 @@ class TestAppend:
         with pytest.raises(UnknownSessionError):
             store.append_rows(sid(9), [row(10, None, 0)])
 
-    @pytest.mark.parametrize("payload", [bytearray(b"ab"), "ab"])
+    @pytest.mark.parametrize("payload", [bytearray(b"ab"), "ab", None, 5])
     def test_payload_that_is_not_bytes_rejected(self, store, payload):
         s = store.register_session(sid(1))
         with pytest.raises(TypeError, match="must be bytes"):

@@ -16,11 +16,17 @@ Covered claims:
     - the seal sequence (import, receipt, verify, export, store append,
       reopen, load, equality) and the `simulate`, `normalize`, `verify`,
       `project` and `commit` commands build no graph
+    - a chain-random session, an imported trace and a trace loaded from a
+      reopened `FileStore` each hold at most 1.5 objects tracked by the
+      cyclic GC per node: their rows hold plain values
 """
 
 import copy
+import gc
 import pickle
+import random
 import tempfile
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -28,12 +34,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cteg import (
+    ActionId,
     Cteg,
     FailurePolicy,
     FileStore,
     MemoryStore,
     TypedTemporalGraph,
     append_trace,
+    begin_session,
     export_trace,
     import_trace,
     merkle_root,
@@ -45,7 +53,7 @@ from cteg.persistence import parse_trace
 from test_dynamics import ctegs_declaring_types
 from test_import_proof import _sorted_rows, sessions
 from test_session import _drive, quiet_session
-from util import counting_graphs, cteg
+from util import counting_graphs, cteg, ty
 
 
 def _assert_rows_are_the_trace(c, reference):
@@ -149,3 +157,45 @@ def test_seal_path_and_commands_build_no_graph(tmp_path, capsys):
     capsys.readouterr()
     assert len(projection_rows(trace)) > 20
     assert built == []
+
+
+def _tracked_per_node(build, nodes):
+    """What `build()` returns, and the objects tracked by the cyclic GC that it adds per node while kept."""
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = build()
+    gc.collect()
+    return kept, (len(gc.get_objects()) - before) / nodes
+
+
+def test_traces_keep_few_tracked_objects_per_node(tmp_path):
+    n, rng, task = 10_000, random.Random(0), ty("task")
+    ids, clock = count(1), count(1)
+
+    def chain_random():
+        # Ids count up from 1: the session takes 1 and its root 2, so every
+        # emit hangs under an earlier node without keeping an id object.
+        s = begin_session(task, wall_clock=lambda: next(clock), id_factory=lambda: next(ids).to_bytes(16, "big"))
+        for k in range(3, n + 2):
+            s.emit(ActionId.from_int(rng.randrange(2, k)), [(task, b"")])
+        return s
+
+    s, per_node = _tracked_per_node(chain_random, n)
+    assert per_node <= 1.5
+    text = export_trace(s.snapshot(), s.id)
+    del s
+    (trace, sid), per_node = _tracked_per_node(lambda: import_trace(text), n)
+    assert per_node <= 1.5
+    path = tmp_path / "log.cteg"
+    with FileStore(path) as store:
+        store.register_session(sid)
+        append_trace(store, sid, trace)
+    del store
+
+    def reopen_and_load():
+        with FileStore(path) as reopened:
+            return reopened, reopened.load_session(sid)
+
+    (store, loaded), per_node = _tracked_per_node(reopen_and_load, n)
+    assert per_node <= 1.5
+    assert loaded == trace and export_trace(loaded, sid) == text
