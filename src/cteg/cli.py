@@ -22,7 +22,6 @@ from .core import (
     Timestamp,
     ValidationFailedError,
     height,
-    projection_rows,
 )
 from .dynamics import BudgetExceededError, UniverseBounds, phi
 from .persistence import TraceFormatError, export_trace, import_trace
@@ -143,7 +142,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    print(f"nodes={len(projection_rows(trace))} height={height(trace)} merkle={merkle_root(trace).hex}")
+    print(f"nodes={len(trace._rows)} height={height(trace)} merkle={merkle_root(trace).hex}")
     return EXIT_OK
 
 
@@ -151,8 +150,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace, code = _load_for_command(args.file, sys.stdout)
     if trace is None:
         return code
-    rows = projection_rows(trace)
-    print(f"nodes={len(rows)} height={height(trace)} root_ts={rows[0][2].micros}")
+    rows = trace._rows  # plain rows in projection order
+    print(f"nodes={len(rows)} height={height(trace)} root_ts={rows[0][2]}")
     return EXIT_OK
 
 
@@ -169,8 +168,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     if trace is None:
         return code
     # The emission-only schedule emits each non-root row from its parent, in projection order.
-    for node, parent, ts, _, _ in projection_rows(trace)[1:]:
-        print(f"{parent.hex}\t{node.hex}\t{ts.micros}")
+    for node, parent, micros, _, _ in trace._rows[1:]:
+        print(f"{parent.hex()}\t{node.hex()}\t{micros}")
     return EXIT_OK
 
 
@@ -178,8 +177,8 @@ def cmd_project(args: argparse.Namespace) -> int:
     trace, code = _load_for_command(args.file, sys.stderr)
     if trace is None:
         return code
-    for node, _, ts, event_type, _ in projection_rows(trace):
-        print(f"{node.hex}\t{ts.micros}\t{event_type.name}")
+    for node, _, micros, event_type, _ in trace._rows:
+        print(f"{node.hex()}\t{micros}\t{event_type.name}")
     return EXIT_OK
 
 

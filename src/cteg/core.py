@@ -558,7 +558,7 @@ def _plain_rows(rows: Iterable[Row]) -> list[_Plain]:
 def _ids(rows: Iterable[_Plain]) -> Iterator[tuple[ActionId, ActionId | None]]:
     """The (node, parent or None) ids of plain rows as `ActionId`s, one object per distinct id."""
     ids: dict[bytes, ActionId] = {}
-    for node, parent, *_ in rows:
+    for node, parent, _, _, _ in rows:
         ids[node] = n = ActionId(node)
         yield n, parent if parent is None else ids.get(parent) or ActionId(parent)
 

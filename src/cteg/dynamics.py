@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby, permutations, product, repeat
+from itertools import combinations_with_replacement, groupby, islice, permutations, product, repeat
 from operator import attrgetter, eq, itemgetter, le
 from typing import AbstractSet, NamedTuple
 
@@ -50,6 +50,7 @@ from .core import (
     UnknownNodeError,
     ValidationFailedError,
     Violation,
+    _ids,
     _objects,
     _Plain,
     graft,
@@ -441,10 +442,10 @@ def e0_normalize(c: Cteg) -> ExecutionSequence:
     from its unique parent. The sequence therefore has exactly as many graphs
     as `c` has nodes: the prefixes of `projection_rows(c)`, each declaring
     the type set of `c`. It is row-backed (see `ExecutionSequence`) over the
-    trace's own rows, and its labels hold the ids of `c.parent_map()`.
+    trace's own rows, and its labels hold one id object per node.
     """
     rows = c._rows
-    steps = tuple(Emission(parent, frozenset({node})) for node, parent in c.parent_map().items())
+    steps = tuple(Emission(parent, frozenset({node})) for node, parent in islice(_ids(rows), 1, None))
     return ExecutionSequence._rows(rows, range(1, len(rows) + 1), steps, c._types)
 
 
