@@ -639,7 +639,7 @@ class NodeTable:
                 if t or new:
                     raise DuplicateRootError("the table already has a parentless root row")
             else:
-                pt = t.get(parent, new.get(parent))
+                pt = t.get(parent, new.get(parent))  # not `or`: a time may be 0
                 if pt is None:
                     raise UnknownParentError(f"parent {parent.hex()} is not in the table")
                 if not pt < micros:
