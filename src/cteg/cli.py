@@ -194,6 +194,8 @@ def _oracle_bounds(n_actions: int, n_timestamps: int, max_len: int) -> UniverseB
 def cmd_oracle(args: argparse.Namespace) -> int:
     # Only the newest level and the one before it are kept alive; every
     # assertion about the chain is folded in as each level arrives.
+    if args.d_max < 0:
+        raise ValueError("d_max must be non-negative")
     bounds = _oracle_bounds(args.actions, args.timestamps, args.max_len)
     sizes: list[int] = []
     ascending = grows = stable = True
@@ -212,7 +214,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except BudgetExceededError:
         for d, size in enumerate(sizes):
             print(f"E{d} size={size} (complete)")
-        print(f"budget exceeded after level {len(sizes) - 1}", file=sys.stderr)
+        where = f"after level {len(sizes) - 1}" if sizes else "in level 0"
+        print(f"budget exceeded {where}", file=sys.stderr)
         return EXIT_BUDGET
 
     failures = 0

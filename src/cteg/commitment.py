@@ -16,37 +16,21 @@ timestamp, where the ids still decide the order of the child digests.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from hashlib import sha256
 from typing import Sequence
 
-from .core import Cteg, EventType, Timestamp
+from .core import Cteg, EventType, Timestamp, _OpaqueId
 
 __all__ = ["DOMAIN_TAG", "Digest", "node_digest", "merkle_root", "verify_commitment"]
 
 DOMAIN_TAG = b"CTEG-NODE-V1"
 
 
-@dataclass(frozen=True, order=True)
-class Digest:
+class Digest(_OpaqueId):
     """32-byte SHA-256 value."""
 
-    value: bytes
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes) or len(self.value) != 32:
-            raise ValueError("Digest requires exactly 32 bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
-
-    @classmethod
-    def from_hex(cls, s: str) -> "Digest":
-        return cls(bytes.fromhex(s))
-
-    def __repr__(self) -> str:
-        return f"Digest({self.value.hex()})"
+    __slots__ = ()
+    _size = 32
 
 
 _U32 = struct.Struct("<I")

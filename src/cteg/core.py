@@ -114,7 +114,7 @@ class TimestampOrderError(StoreError, CompatibilityError):
 
 @total_ordering
 class _OpaqueId:
-    """128-bit opaque identifier, totally ordered by its big-endian bytes.
+    """Opaque identifier of `_size` bytes, 16 by default, totally ordered by its big-endian bytes.
 
     An immutable value: equal, ordered and hashed by its bytes, and only
     against ids of its own class. The hash is computed once, at
@@ -122,10 +122,11 @@ class _OpaqueId:
     """
 
     __slots__ = ("value", "_hash")
+    _size = 16
 
     def __init__(self, value: bytes) -> None:
-        if not isinstance(value, bytes) or len(value) != 16:
-            raise ValueError(f"{type(self).__name__} requires exactly 16 bytes")
+        if not isinstance(value, bytes) or len(value) != self._size:
+            raise ValueError(f"{type(self).__name__} requires exactly {self._size} bytes")
         _put_value(self, value)
         _put_hash(self, hash(value))
 
@@ -156,11 +157,11 @@ class _OpaqueId:
     @classmethod
     def fresh(cls, source: Callable[[], bytes] | None = None):
         """Draw a new random identifier, optionally from a custom byte source."""
-        return cls(source() if source is not None else secrets.token_bytes(16))
+        return cls(source() if source is not None else secrets.token_bytes(cls._size))
 
     @classmethod
     def from_int(cls, n: int):
-        return cls(n.to_bytes(16, "big"))
+        return cls(n.to_bytes(cls._size, "big"))
 
     @classmethod
     def from_hex(cls, s: str):
@@ -829,12 +830,10 @@ def graph_text(g: TypedTemporalGraph) -> str:
     exactly when their renderings are, making this suitable for golden
     listings.
     """
-    node_parts = []
-    for n in sorted(g.nodes):
-        part = f"{n.hex}@{g.t[n].micros}:{g.tau[n].name}"
-        if g.payloads[n]:
-            part += "=" + base64.b64encode(g.payloads[n]).decode("ascii")
-        node_parts.append(part)
-    edge_parts = [f"{a.hex}>{b.hex}" for a, b in sorted(g.edges)]
-    types_part = ",".join(ty.name for ty in sorted(g.type_set))
-    return f"types{{{types_part}}};nodes{{{','.join(node_parts)}}};edges{{{','.join(edge_parts)}}}"
+    ids, edges, micros, names, type_names, payloads = g._canonical_key()
+    nodes = ",".join(
+        f"{n.hex()}@{m}:{name}" + (f"={base64.b64encode(p).decode('ascii')}" if p else "")
+        for n, m, name, p in zip(ids, micros, names, payloads)
+    )
+    arcs = ",".join(f"{a.hex()}>{b.hex()}" for a, b in edges)
+    return f"types{{{','.join(type_names)}}};nodes{{{nodes}}};edges{{{arcs}}}"

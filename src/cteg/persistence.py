@@ -400,11 +400,9 @@ def export_trace(c: Cteg, session: SessionId) -> bytes:
 
 def _parse_id(field: str, what: str, lineno: int) -> bytes:
     try:
-        if len(field) != 32:
+        value = bytes.fromhex(field) if len(field) == 32 else b""
+        if len(value) != 16:  # a wrong length, or whitespace, which `fromhex` skips
             raise ValueError("expected 32 hex characters")
-        value = bytes.fromhex(field)
-        if len(value) != 16:  # `fromhex` skips whitespace
-            raise ValueError("ActionId requires exactly 16 bytes")
         return value
     except ValueError as exc:
         raise TraceFormatError(f"bad {what} on line {lineno} {field!r}: {exc}") from exc
@@ -424,10 +422,7 @@ def _parse_rows(data: bytes) -> tuple[list[_Plain], set[bytes], SessionId]:
     header = lines[0]
     if not header.startswith(_HEADER_PREFIX):
         raise TraceFormatError(f"bad header line {header!r}")
-    try:
-        session = SessionId.from_hex(header[len(_HEADER_PREFIX) :])
-    except ValueError as exc:
-        raise TraceFormatError(f"bad session id in header: {exc}") from exc
+    session = SessionId(_parse_id(header[len(_HEADER_PREFIX) :], "session id", 1))
 
     rows: list[_Plain] = []
     seen: set[bytes] = set()
@@ -442,6 +437,8 @@ def _parse_rows(data: bytes) -> tuple[list[_Plain], set[bytes], SessionId]:
         parent = None if parent_field == "-" else _parse_id(parent_field, "parent id", lineno)
         try:
             micros = _micros(int(ts_field))
+            if str(micros) != ts_field:  # `int` also takes signs, spaces, underscores and leading zeros
+                raise ValueError(f"{ts_field!r} is not in canonical form {str(micros)!r}")
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: bad timestamp: {exc}") from exc
         try:

@@ -141,16 +141,16 @@ class Session:
         """
         self._wall = wall_clock if wall_clock is not None else _wall_clock_micros
         self._id_factory = id_factory
-        self._last: int | None = None  # the last timestamp issued, in microseconds
         self._lock = RLock()
         self._id = SessionId.fresh(id_factory)
         self._status = SessionStatus.ACTIVE
 
         root = ActionId.fresh(id_factory)
-        root_ts = self._issue(lower_bound and lower_bound.micros)  # later stamps exceed it: the bound holds for all
+        root_ts = self._stamp(None, lower_bound and lower_bound.micros)  # later stamps exceed it: all keep the bound
         self._root = root
         self._table = NodeTable()
         self._table.append([(root.value, None, root_ts, root_type, payload)])
+        self._last = root_ts  # the last timestamp issued, in microseconds
         self._marks: list[int] = [1]  # row count of each state in turn
         self._grafts: dict[int, Session] = {}  # step index: the child grafted at that step
         self._snapshot: Cteg | None = None
@@ -210,18 +210,15 @@ class Session:
             self._require_active()
             p = parent.value
             floor = self._table.time_of(p)
-            if not events:
+            last, ids, rows = self._last, [], []
+            for kind, payload in events:
+                ids.append(node := ActionId.fresh(self._id_factory))
+                last = self._stamp(last, floor)
+                rows.append((node.value, p, last, kind, payload))
+            if not rows:
                 raise EmptyEmissionError("emit requires at least one event")
-            last = self._last
-            ids, rows = [], []
-            try:
-                for kind, payload in events:
-                    ids.append(node := ActionId.fresh(self._id_factory))
-                    rows.append((node.value, p, self._issue(floor), kind, payload))
-                self._table.append(rows)
-            except BaseException:
-                self._last = last  # roll back: the batch issued nothing
-                raise
+            self._table.append(rows)
+            self._last = last
             self._advance()
             return ids
 
@@ -255,6 +252,8 @@ class Session:
 
     def fail_subagent(self, handle: SubagentHandle, child: "Session", policy: FailurePolicy) -> None:
         """Settle a failed child: discard its trace or graft the valid partial one."""
+        if not isinstance(policy, FailurePolicy):
+            raise TypeError(f"policy must be a FailurePolicy, not {type(policy).__name__}")
         self._finish_subagent(
             handle,
             child,
@@ -288,14 +287,13 @@ class Session:
                 child._status = final_status
             handle._consumed = True
 
-    def _issue(self, floor: int | None) -> int:
-        """The wall clock's microseconds, raised strictly above the last stamp issued and above `floor`."""
+    def _stamp(self, last: int | None, floor: int | None) -> int:
+        """The wall clock's microseconds, raised strictly above `last`, the last stamp issued, and above `floor`."""
         stamp = self._wall()
-        if self._last is not None:
-            stamp = max(stamp, self._last + 1)
+        if last is not None:
+            stamp = max(stamp, last + 1)
         if floor is not None:
             stamp = max(stamp, floor + 1)
-        self._last = stamp
         return _micros(stamp)
 
     def _advance(self) -> None:

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cteg import SessionId, cli, export_trace, import_trace, phi
 from cteg.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, SimulationConfig, main, run_simulation
 from cteg.dynamics import Emission
@@ -248,6 +250,21 @@ class TestOracle:
         )
         assert code == EXIT_BUDGET
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--budget", "100"], (EXIT_BUDGET, "", "budget exceeded in level 0\n")),
+            (
+                ["--budget", "5000"],
+                (EXIT_BUDGET, "E0 size=2032\nE0 size=2032 (complete)\n", "budget exceeded after level 0\n"),
+            ),
+            (["--d-max", "-1"], (EXIT_PARSE, "", "error: d_max must be non-negative\n")),
+        ],
+        ids=["budget-in-the-base-level", "budget-after-the-base-level", "negative-d-max"],
+    )
+    def test_a_cut_short_run_says_where(self, capsys, argv, expected):
+        assert run(capsys, "oracle", *argv) == expected
 
     def test_budget_exhaustion_on_the_fixed_point_check_exits_three(self, capsys, monkeypatch):
         # At these bounds the check costs what the last level did, so one more call of `phi` is cut short.

@@ -149,7 +149,7 @@ class TestEventType:
     def test_valid_names(self):
         assert EventType("tool_call").name == "tool_call"
 
-    @pytest.mark.parametrize("bad", ["", "a\tb", "a\nb", "x\x00"])
+    @pytest.mark.parametrize("bad", ["", "a\tb", "a\nb", "x\x00", pytest.param("x" * 1025, id="1025-characters")])
     def test_invalid_names(self, bad):
         with pytest.raises(ValueError):
             EventType(bad)
@@ -360,6 +360,10 @@ class TestGraft:
     def test_unknown_attach_point(self):
         with pytest.raises(UnknownNodeError):
             graft(graph({1: 0}, set()), aid(9), graph({2: 5}, set()), aid(2))
+
+    def test_unknown_graft_root(self):
+        with pytest.raises(UnknownNodeError, match="graft root"):
+            graft(graph({1: 0}, set()), aid(1), graph({2: 5}, set()), aid(9))
 
     def test_type_sets_merge_by_union(self):
         g1 = graph({1: 0}, set(), types={1: "x"})

@@ -118,6 +118,10 @@ class TestApplyEmission:
         with pytest.raises(EmptyEmissionError):
             apply_emission(graph({1: 0}, set()), aid(1), {})
 
+    def test_empty_emission_label(self):
+        with pytest.raises(EmptyEmissionError):
+            Emission(aid(1), frozenset())
+
     def test_node_collision(self):
         g = graph({1: 0, 2: 1}, {(1, 2)})
         with pytest.raises(DisjointnessError):
@@ -310,6 +314,10 @@ class TestIsInvocationStep:
         g2 = graph({1: 5, 5: 5, 6: 6}, {(1, 5), (5, 6)})
         assert is_invocation_step(g, g2) is None
 
+    def test_no_new_node_is_no_step(self):
+        g = graph({1: 0, 5: 2}, {(1, 5)})
+        assert is_invocation_step(g, g) is None
+
 
 class TestE0Normalize:
     def test_single_root(self):
@@ -437,6 +445,15 @@ class TestReplicateAsE0Invocation:
             replicate_as_e0_invocation(bad)
         assert info.value.diagnostics == validate_cteg(final, aid(5))
         assert str(info.value).startswith("sub-execution final graph is not a valid CTEG: in-degree: ")
+
+    def test_attach_outside_the_final_graph_rejected(self):
+        sub = ExecutionSequence((graph({5: 2}, set()),), ())
+        with pytest.raises(AttachPointError, match="not in the sub-execution's final graph"):
+            Invocation(root=aid(1), subtrace=sub, attach=aid(8))
+
+    def test_an_emission_step_rejected(self):
+        with pytest.raises(TypeError, match="expects an Invocation"):
+            replicate_as_e0_invocation(Emission(aid(1), frozenset({aid(2)})))
 
     def test_final_graph_is_validated_once(self):
         step = self._nested_invocation_step()
@@ -676,6 +693,10 @@ class TestHierarchyAtDeskScale:
         b = bounds_of(2, 2, 1)
         levels = hierarchy(b, 0)
         assert len(levels) == 1
+
+    def test_negative_d_max_rejected(self):
+        with pytest.raises(ValueError, match="d_max must be non-negative"):
+            hierarchy(bounds_of(2, 2, 1), -1)
 
     def test_five_actions_pass_every_assertion(self):
         # the `cteg oracle --actions 5` bounds; two levels alive at a time

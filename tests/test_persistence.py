@@ -306,8 +306,9 @@ class TestFileStore:
             (1, 1 + 16 + 16, b"\x07", "bad parent flag"),  # the root's parent flag
             (2, 1 + 16 + 16 + 1 + 16, (1).to_bytes(8, "little"), "not above parent"),  # the child's timestamp
             (3, 1, sid(1).value, "already registered"),  # the second session's id, made the first's
+            (0, 0, b"\x09", "unknown record kind 9"),  # the first session record's kind
         ],
-        ids=["malformed", "inconsistent", "registered-twice"],
+        ids=["malformed", "inconsistent", "registered-twice", "unknown-kind"],
     )
     def test_corruption_names_the_record_and_its_offset(self, tmp_path, record_index, field_offset, value, reason):
         path = tmp_path / "log.cteg"
@@ -614,6 +615,16 @@ class TestExportImport:
             lambda lines: lines + [f"{hexid(9)}\t{hexid(404)}\t9\tevt\t"],  # unknown parent
             lambda lines: lines + [lines[1]],                            # duplicate node id
             lambda lines: lines[:1],                                     # no rows at all
+            lambda lines: lines + [f"{hexid(9)}\t{hexid(1)}\t+9\tevt\t"],  # signed timestamp
+            lambda lines: lines + [f"{hexid(9)}\t{hexid(1)}\t09\tevt\t"],  # zero-padded timestamp
+            lambda lines: lines + [f"{hexid(9)}\t{hexid(1)}\t 9\tevt\t"],  # space before a timestamp
+            lambda lines: lines + [f"{hexid(9)}\t{hexid(1)}\t9_0\tevt\t"],  # underscored timestamp
+            lambda lines: lines + [f"{hexid(9)}\t{hexid(1)}\t\u0669\tevt\t"],  # non-ASCII digit
+            lambda lines: [f"cteg/1 {sid(1).value.hex(' ')}"] + lines[1:],  # header id with spaced bytes
+            lambda lines: [lines[0][:-1]] + lines[1:],                   # 31-character header id
+            lambda lines: lines + [f"{hexid(9)[:31]}\t{hexid(1)}\t9\tevt\t"],  # 31-character node id
+            lambda lines: lines + [f"  {hexid(9)[2:]}\t{hexid(1)}\t9\tevt\t"],  # 32-character node id with spaces
+            lambda lines: lines + [f"{hexid(9)}\t{hexid(1)}\t9\te\x01vt\t"],  # control character in a type
         ],
     )
     def test_malformed_text_is_a_format_error(self, mangle):
@@ -621,6 +632,10 @@ class TestExportImport:
         data = ("\n".join(mangle(base)) + "\n").encode()
         with pytest.raises(TraceFormatError):
             parse_trace(data)
+
+    def test_an_empty_file_is_a_format_error(self):
+        with pytest.raises(TraceFormatError, match="empty trace file"):
+            parse_trace(b"")
 
     def test_rootless_text_is_a_format_error(self):
         text = f"cteg/1 {hexid(1)}\n{hexid(2)}\t{hexid(3)}\t1\tevt\t\n{hexid(3)}\t{hexid(2)}\t0\tevt\t\n"

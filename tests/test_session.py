@@ -143,6 +143,13 @@ class TestEmit:
         with pytest.raises(EmptyEmissionError):
             s.emit(s.root, [])
 
+    def test_an_empty_iterator_admits_no_step(self):
+        s = quiet_session()
+        with pytest.raises(EmptyEmissionError):
+            s.emit(s.root, iter([]))
+        (node,) = s.emit(s.root, [(ty("a"), b"")])
+        assert s.history().steps == (Emission(s.root, frozenset({node})),)
+
 
 class TestInvokeSubagent:
     def test_child_root_is_strictly_later_than_invocation_node(self):
@@ -270,6 +277,16 @@ class TestFailSubagent:
         s.fail_subagent(handle, child, FailurePolicy.DISCARD)
         assert s.snapshot() == before
         assert child.status is SessionStatus.FAILED
+
+    def test_a_policy_that_is_not_a_failure_policy_settles_nothing(self):
+        s = quiet_session()
+        before = s.snapshot()
+        handle, child = s.invoke_subagent(s.root, ty("sub"))
+        child.emit(child.root, [(ty("sub"), b"")])
+        with pytest.raises(TypeError, match="FailurePolicy"):
+            s.fail_subagent(handle, child, "graft_partial")
+        assert child.status is SessionStatus.ACTIVE and not handle.consumed
+        assert s.snapshot() == before
 
     def test_graft_partial_of_a_bare_root(self):
         s = quiet_session()
