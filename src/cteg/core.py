@@ -17,7 +17,8 @@ share between threads without synchronization.
 
 The one mutable exception is `NodeTable`, the append-only node table that
 sessions, stores and trace import keep their rows in; every prefix of its
-rows is a CTEG. Its rows, and a `Cteg`'s, hold plain values: id bytes and
+rows is a CTEG, and its row check proves every trace; `validate_cteg` only
+words a rejection. Its rows, and a `Cteg`'s, hold plain values: id bytes and
 integer microseconds. Id and timestamp objects are built only where the
 API hands them out, such as `projection_rows` and `Cteg.graph`.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import base64
 import secrets
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from functools import total_ordering
@@ -365,9 +367,7 @@ class TypedTemporalGraph:
         """A graph whose fields are well formed by construction, stored as given.
 
         The caller guarantees what `__post_init__` checks and converts to:
-        frozensets of nodes, edge pairs and types; timestamp, type and payload
-        dicts total on the nodes; edges and types inside their sets. The
-        bounded enumeration renames checked graphs injectively this way.
+        frozensets, dicts total on the nodes, edges and types inside their sets.
         """
         g = object.__new__(cls)
         vars(g).update(
@@ -377,13 +377,11 @@ class TypedTemporalGraph:
         return g
 
     def _canonical_key(self) -> tuple:
-        """The graph's canonical form, built on first use and then cached.
+        """The graph's canonical form in primitives, built on first use and then cached.
 
-        Six parts of primitives (id bytes, microseconds, type names, payload
-        bytes): the sorted ids, the sorted edges, the timestamp and type
-        columns in id order, the sorted type set and the payload column in id
-        order. That orders graphs exactly as sorting the nodes, edges, maps
-        and type set as objects does.
+        The sorted ids and edges, the timestamp and type columns in id order,
+        the sorted type names and the payload column in id order. That orders
+        graphs exactly as sorting those parts as objects does.
         """
         key = self._key  # type: ignore[attr-defined]
         if key is None:
@@ -462,9 +460,10 @@ class Cteg:
     One plain row (id bytes, parent id bytes or None, microseconds, type,
     payload) per node, in projection order (see `projection_rows`); the type
     set may name types no node uses. Holding a Cteg is proof of
-    well-formedness: the public constructor validates a graph, raising
-    ValidationFailedError on any defect, and keeps it; `NodeTable.to_cteg`
-    orders rows its own check proved. `graph` and `parent_map` are built
+    well-formedness by `NodeTable.check`: the public constructor also checks
+    that no edge was lost to a second parent and that the first row is
+    `root`, and on any defect raises ValidationFailedError with the
+    diagnostics of `validate_cteg`. `graph` and `parent_map` are built
     from the rows on first use. Traces are equal when their type sets and
     rows are, which for valid traces is exactly equality of their graphs.
     """
@@ -472,20 +471,21 @@ class Cteg:
     __slots__ = ("root", "_rows", "_types", "_graph", "_parents")
 
     def __init__(self, graph: TypedTemporalGraph, root: ActionId) -> None:
-        diag = validate_cteg(graph, root)
-        if not diag.ok:
-            raise ValidationFailedError(diag)
         parents = {b: a for a, b in graph.edges}
         t, tau, payloads = graph.t, graph.tau, graph.payloads
         rows = _in_projection_order(_plain_rows((n, parents.get(n), t[n], tau[n], payloads[n]) for n in t))
+        try:  # rows cannot show an edge lost to a second parent, nor which node was named root
+            NodeTable().check(rows)
+            proved = len(parents) == len(graph.edges) and ActionId(rows[0][0]) == root
+        except StoreError:
+            proved = False
+        if not proved:
+            raise ValidationFailedError(validate_cteg(graph, root))
         self._fill(root, rows, graph.type_set, graph, None)
 
     @classmethod
     def _proved(cls, rows: tuple[_Plain, ...], type_set: frozenset[EventType] | None = None) -> "Cteg":
-        """The trace of rows already proved valid and in projection order, stored without validation.
-
-        Without a type set it declares the types in use.
-        """
+        """The trace of rows proved valid and in projection order; without a type set, the types in use."""
         if type_set is None:
             kinds = list(map(itemgetter(3), rows))
             # A trace holds few type objects, so they are deduplicated by identity before any is hashed.
@@ -592,11 +592,9 @@ def graph_from_rows(rows: Iterable[Row], type_set: Iterable[EventType] | None = 
 
 
 def projection_rows(c: Cteg) -> list[Row]:
-    """The trace's rows in temporal projection order, so every parent comes first.
+    """The trace's rows sorted by (timestamp, node id), so every parent comes first.
 
-    Timestamps rise strictly along every edge, so sorting the rows by
-    (timestamp, node id) lists each parent before its children. The list
-    and its id and timestamp objects are built on each call.
+    The list and its id and timestamp objects are built on each call.
     """
     return list(_objects(c._rows))
 
@@ -608,7 +606,7 @@ class NodeTable:
     payload bytes), and `t` maps id bytes to microseconds; `_plain_rows`
     converts object rows. `check` is the one incremental check of the row
     invariant (parent present, fresh id, strictly later timestamp, one root,
-    an `EventType` and a bytes payload) and the proof of `to_cteg`;
+    an `EventType` and a bytes payload) and the proof of every `Cteg`;
     `validate_cteg` is the whole-graph reference.
     """
 
@@ -659,9 +657,12 @@ class NodeTable:
 
     def graft(self, p: bytes, child: "NodeTable") -> None:
         """Append a valid child table under `p`, checking only disjointness and the new edge."""
-        pt = self.time_of(p)
+        pt = self.t.get(p)
+        if pt is None:
+            raise UnknownParentError(f"attach point {p.hex()} is not in the host graph")
         if not self.t.keys().isdisjoint(child.t):
-            raise DuplicateNodeError("child table shares node ids with this table")
+            shared = sorted(self.t.keys() & child.t.keys())
+            raise DuplicateNodeError(f"node sets overlap ({len(shared)} shared, e.g. {', '.join(map(bytes.hex, shared[:3]))})")
         root, _, root_ts, root_type, payload = child.rows[0]
         if not pt < root_ts:
             raise TimestampOrderError(f"attach point t={pt} is not strictly below grafted root t={root_ts}")
@@ -672,8 +673,7 @@ class NodeTable:
     def to_cteg(self) -> Cteg:
         """The table's trace, built without a second proof; it declares the types in use.
 
-        The row check is the proof, and the sort into projection order is
-        linear on rows already in it, as canonical text and stores list them.
+        The sort into projection order is linear on rows already in it.
         """
         return Cteg._proved(_in_projection_order(self.rows))
 
@@ -791,17 +791,20 @@ def graft(
 def graft_cteg(c1: Cteg, p: ActionId, c2: Cteg) -> Cteg:
     """Compose two CTEGs by grafting `c2` under node `p` of `c1`.
 
-    Succeeds exactly when t(p) < t(root of c2); the grafted edge is the only
-    place where well-formedness could break, so this check is necessary and
-    sufficient.
+    `NodeTable.graft`, the rule sessions use, checks the attach node, id
+    disjointness and t(p) < t(root of c2), the one new edge, on the two
+    traces' proved rows; the result declares both type sets.
     """
-    g = graft(c1.graph, p, c2.graph, c2.root)
-    if not c1.graph.t[p] < c2.graph.t[c2.root]:
-        raise CompatibilityError(
-            f"attach point t={c1.graph.t[p].micros} is not strictly below grafted root "
-            f"t={c2.graph.t[c2.root].micros}"
-        )
-    return Cteg(g, c1.root)
+    host, child = NodeTable(), NodeTable()
+    for table, rows in ((host, c1._rows), (child, c2._rows)):
+        table.admit(rows, {row[0]: row[2] for row in rows})
+    host.graft(p.value, child)
+    merged, lo, key = [], 0, itemgetter(2, 0)
+    for row in islice(host.rows, len(c1._rows), None):  # both runs are in projection order: bisect, do not sort
+        hi = bisect(c1._rows, key(row), lo, key=key)
+        merged += (*c1._rows[lo:hi], row)
+        lo = hi
+    return Cteg._proved((*merged, *c1._rows[lo:]), c1._types | c2._types)
 
 
 def temporal_projection(c: Cteg) -> tuple[ActionId, ...]:

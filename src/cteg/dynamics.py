@@ -587,6 +587,8 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, limit: int | None) -> None:
+        if limit is not None and limit < 0:
+            raise ValueError("budget must be non-negative")
         self.left = limit
 
     def spend(self, n: int = 1) -> None:
@@ -908,7 +910,7 @@ def phi(
     counts do not change under renaming, so they are charged per orbit, as
     orbit size times one member's count, and BudgetExceededError is raised
     before any member is built, at exactly the budgets at which the
-    step-by-step enumeration gives up.
+    step-by-step enumeration gives up. A negative budget is a ValueError.
     """
     tracker = _Budget(budget)
     classes = _graft_classes(pool, bounds, tracker)

@@ -21,10 +21,10 @@ inconsistent record is reported as corruption.
 
 The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
-order, with base64 payloads. Export is canonical, so byte equality of two
-exports coincides with equality of the traces they encode (given equal
-session ids). Import proves the parsed rows with a `NodeTable`, as
-`load_session` does (see `import_trace`).
+order, with base64 payloads. Export is canonical: equal traces give equal
+bytes. Only the types in use persist, so traces that differ only in
+declared types no node uses export to the same bytes. Import proves the
+parsed rows with a `NodeTable`, as `load_session` does (see `import_trace`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .core import (
     _Plain,
     _plain_rows,
     graph_from_rows,
-    graph_text,
 )
 from .session import SessionId
 
@@ -82,7 +81,6 @@ __all__ = [
     "export_trace",
     "parse_trace",
     "import_trace",
-    "graph_text",
 ]
 
 
@@ -484,13 +482,14 @@ def parse_trace(data: bytes) -> tuple[TypedTemporalGraph, ActionId, SessionId]:
 
 
 def import_trace(data: bytes) -> tuple[Cteg, SessionId]:
-    """Parse and prove trace text; the exact inverse of `export_trace`.
+    """Parse and prove trace text; the inverse of `export_trace` up to unused types.
 
-    The parsed rows, sorted into projection order, which lists each parent
-    of a valid trace first, pass a fresh `NodeTable`'s row check, so valid
-    text in any row order is accepted. Text the table rejects takes the
-    reference path, only for the error: `parse_trace`'s representability
-    checks, then the validating `Cteg(...)` with its diagnostics.
+    The text holds no type set, so the trace declares the types in use. The
+    parsed rows, sorted into projection order, which lists each parent of a
+    valid trace first, pass a fresh `NodeTable`'s row check, so valid text
+    in any row order is accepted. Text the table rejects runs
+    `parse_trace`'s representability checks, then `Cteg(...)`, only to word
+    the error.
 
     Raises TraceFormatError on malformed text and ValidationFailedError when
     the rows parse but do not form a valid CTEG.

@@ -168,11 +168,7 @@ class Session:
         return self._root
 
     def snapshot(self) -> Cteg:
-        """The current trace as an immutable, always-valid value.
-
-        Built once per change by `NodeTable.to_cteg`: the table's row checks
-        at each emit and graft are its proof, so it is not validated again.
-        """
+        """The current trace as an immutable value, built once per change from the proved table rows."""
         with self._lock:
             if self._snapshot is None:
                 self._snapshot = self._table.to_cteg()

@@ -260,8 +260,9 @@ class TestOracle:
                 (EXIT_BUDGET, "E0 size=2032\nE0 size=2032 (complete)\n", "budget exceeded after level 0\n"),
             ),
             (["--d-max", "-1"], (EXIT_PARSE, "", "error: d_max must be non-negative\n")),
+            (["--budget", "-5"], (EXIT_PARSE, "", "error: budget must be non-negative\n")),
         ],
-        ids=["budget-in-the-base-level", "budget-after-the-base-level", "negative-d-max"],
+        ids=["budget-in-the-base-level", "budget-after-the-base-level", "negative-d-max", "negative-budget"],
     )
     def test_a_cut_short_run_says_where(self, capsys, argv, expected):
         assert run(capsys, "oracle", *argv) == expected

@@ -8,7 +8,8 @@ Covered claims:
     - root-to-node paths are unique (checked against brute-force search)
     - node-table rows build the graph their parent pointers describe, and a
       trace's projection rows rebuild the trace
-    - the module surface: `graph_text` is one function under three names,
+    - the module surface: `graph_text` is one function, in `core` and the
+      package and no longer in `persistence`,
       and constants and aliases that only their own module uses are not
       exported from the package
     - grafting unions structure, preserves in-degrees, and composes two
@@ -263,7 +264,8 @@ class TestGraphFromRows:
 
 class TestModuleSurface:
     def test_graph_text_is_one_function(self):
-        assert package.graph_text is persistence.graph_text is core.graph_text
+        assert package.graph_text is core.graph_text
+        assert "graph_text" not in persistence.__all__ and not hasattr(persistence, "graph_text")
 
     def test_module_constants_stay_out_of_the_package_surface(self):
         for name, module in (("StepLabel", dynamics), ("DEFAULT_PAYLOAD_CAP", persistence), ("DOMAIN_TAG", commitment)):

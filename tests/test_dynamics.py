@@ -65,6 +65,7 @@ from cteg import (
     validate_cteg,
 )
 from cteg.cli import _oracle_bounds
+from cteg.core import NodeTable
 from cteg.dynamics import _rename_chain
 from util import (
     aid,
@@ -456,11 +457,14 @@ class TestReplicateAsE0Invocation:
             replicate_as_e0_invocation(Emission(aid(1), frozenset({aid(2)})))
 
     def test_final_graph_is_validated_once(self):
+        # One node-table proof of the final graph's rows; `validate_cteg` only words a rejection.
         step = self._nested_invocation_step()
         spy = mock.Mock(wraps=validate_cteg)
-        with mock.patch("cteg.core.validate_cteg", spy), mock.patch("cteg.dynamics.validate_cteg", spy):
+        checks = mock.patch.object(NodeTable, "check", autospec=True, side_effect=NodeTable.check)
+        with checks as check, mock.patch("cteg.core.validate_cteg", spy), mock.patch("cteg.dynamics.validate_cteg", spy):
             replicate_as_e0_invocation(step)
-        assert spy.call_count == 1
+        assert check.call_count == 1 and len(check.call_args.args[1]) == len(step.subtrace.final.nodes)
+        assert spy.call_count == 0
 
 
 class TestMembership:
@@ -697,6 +701,12 @@ class TestHierarchyAtDeskScale:
     def test_negative_d_max_rejected(self):
         with pytest.raises(ValueError, match="d_max must be non-negative"):
             hierarchy(bounds_of(2, 2, 1), -1)
+
+    def test_negative_budget_rejected(self):
+        for run in (lambda b: phi(frozenset(), b, budget=-5), lambda b: hierarchy(b, 1, budget=-1)):
+            with pytest.raises(ValueError, match="budget must be non-negative"):
+                run(bounds_of(2, 2, 1))
+        assert phi(frozenset(), bounds_of(1, 1, 1), budget=0) is not None  # zero is a budget
 
     def test_five_actions_pass_every_assertion(self):
         # the `cteg oracle --actions 5` bounds; two levels alive at a time

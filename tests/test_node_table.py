@@ -6,9 +6,15 @@ Covered claims:
       `graph_from_rows` cannot even represent counts as a rejection)
     - a batch is admitted whole exactly when its rows would be admitted one
       by one, and a rejected batch leaves the rows and timestamps unchanged
-    - a table graft is accepted exactly when `graft_cteg` on the two traces
-      succeeds, raises the same kind of error when it does not, and yields
-      the same graph when it does
+    - a table graft and `graft_cteg` both match `reference_graft_cteg`
+      (the graph graft, validated whole): the same trace when it succeeds,
+      the same broken rule when it does not, and the reference's words for
+      an unknown attach node or shared ids; over traces declaring unused
+      types, `graft_cteg` keeps both declared sets
+    - `Cteg(graph, root)` accepts a small arbitrary graph exactly when
+      `validate_cteg` does, and on rejection carries its diagnostics;
+      neither it nor `graft_cteg` runs `validate_cteg` on valid input, and
+      `graft_cteg` builds no graph
     - the in-memory and the file-backed store raise the same error class
       for the same bad record, and the file replays to the same traces
     - `to_cteg` on rows with grafts builds, without validating, the same
@@ -22,9 +28,10 @@ Covered claims:
       `validate_cteg` exactly once
     - a payload that is not `bytes`, a timestamp that is not a `Timestamp`
       and a type that is not an `EventType` are rejected with TypeError,
-      admitting nothing
+      admitting nothing, by the table and by `Cteg(graph, root)`
 """
 
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -36,15 +43,11 @@ from hypothesis import strategies as st
 
 from cteg import (
     ActionId,
-    CompatibilityError,
     Cteg,
-    CtegError,
-    DisjointnessError,
     FailurePolicy,
     FileStore,
     MemoryStore,
     SessionId,
-    UnknownNodeError,
     ValidationFailedError,
     append_trace,
     begin_session,
@@ -53,8 +56,9 @@ from cteg import (
     import_trace,
     validate_cteg,
 )
-from cteg.core import NodeTable, StoreError, _objects, _plain_rows, graph_from_rows
-from util import aid, ts, ty
+from cteg.core import NodeTable, StoreError, _objects, _plain_rows, graph_from_rows, projection_rows, temporal_projection
+from test_dynamics import ctegs_declaring_types
+from util import aid, counting_graphs, graft_outcome, graph, random_cteg, reference_graft_cteg, ts, ty
 
 FAULTS = ("unknown-parent", "reused-id", "equal-time", "earlier-time", "second-root", "parent-first")
 
@@ -170,21 +174,90 @@ def test_a_graft_matches_graft_cteg(host, child, child_start, attach, unknown_at
     child_table.t = {r[0]: r[2] for r in child_table.rows}
     p = aid(9_999).value if unknown_attach else parent_table.rows[attach % len(parent_table.rows)][0]
     c1, c2 = parent_table.to_cteg(), child_table.to_cteg()
-    try:
-        reference = graft_cteg(c1, ActionId(p), c2)
-    except CtegError as exc:
-        reference = exc
+    reference = graft_outcome(lambda: reference_graft_cteg(c1, ActionId(p), c2))
+    composed = graft_outcome(lambda: graft_cteg(c1, ActionId(p), c2))
     before = (list(parent_table.rows), dict(parent_table.t))
-    try:
-        parent_table.graft(p, child_table)
-    except StoreError as exc:
-        assert isinstance(reference, CtegError), exc
-        kinds = (UnknownNodeError, DisjointnessError, CompatibilityError)
-        assert [isinstance(exc, k) for k in kinds] == [isinstance(reference, k) for k in kinds]
-        assert (parent_table.rows, parent_table.t) == before
+    grafted = graft_outcome(lambda: parent_table.graft(p, child_table) or parent_table.to_cteg())
+    if isinstance(reference, Cteg):
+        assert grafted == composed == reference
         return
-    assert isinstance(reference, Cteg), reference
-    assert parent_table.to_cteg() == reference
+    # The same rule broken, in the same words: the reference's, except for the time rule it words as a diagnostic.
+    assert grafted == composed and composed[0] == reference[0] and reference[1] in (None, composed[1])
+    assert (parent_table.rows, parent_table.t) == before
+
+
+@given(
+    c1=ctegs_declaring_types(),
+    c2=ctegs_declaring_types(),
+    pick=st.integers(0, 99),
+    attach=st.sampled_from(["host"] * 4 + ["child", "unknown"]),
+    shared=st.sampled_from([False] * 5 + [True]),
+)
+def test_graft_cteg_equals_the_reference(c1, c2, pick, attach, shared):
+    if shared:
+        c2 = c1  # every id shared
+    nodes = {"host": temporal_projection(c1), "child": temporal_projection(c2), "unknown": (aid(10**6),)}[attach]
+    p = nodes[pick % len(nodes)]
+    composed = graft_outcome(lambda: graft_cteg(c1, p, c2))
+    reference = graft_outcome(lambda: reference_graft_cteg(c1, p, c2))
+    if isinstance(reference, Cteg):
+        assert composed == reference and composed.root == c1.root
+        assert composed.graph.type_set == reference.graph.type_set == c1.graph.type_set | c2.graph.type_set
+    else:
+        assert composed[0] == reference[0] and reference[1] in (None, composed[1])
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph of up to six nodes and a named root, often invalid.
+
+    A tree whose time steps may be zero or negative, with maybe one edge
+    dropped (an unreachable node) and up to two extra edges (second
+    parents, edges into the root, cycles); the root named may be another
+    node or no node at all.
+    """
+    n = draw(st.integers(1, 6))
+    parents = {i: draw(st.integers(1, i - 1)) for i in range(2, n + 1)}
+    times = {1: 0}
+    for i in range(2, n + 1):
+        times[i] = times[parents[i]] + draw(st.integers(-1, 3))
+    edges = {(p, i) for i, p in parents.items()}
+    if edges and draw(st.booleans()):
+        edges.discard(draw(st.sampled_from(sorted(edges))))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges |= draw(st.sets(pairs, max_size=2))
+    root = draw(st.sampled_from([1, 1, 1, n, n + 1]))  # node n + 1 does not exist
+    return graph(times, edges), aid(root)
+
+
+@given(small_graphs())
+@example((graph({1: 0, 2: 1}, {(1, 2), (2, 1)}), aid(1)))  # an edge into the root, and a cycle
+@example((graph({1: 0, 2: 1, 3: 2}, {(1, 2), (1, 3), (2, 3)}), aid(1)))  # a second parent
+@example((graph({1: 0, 2: 1, 3: 2}, {(1, 2)}), aid(1)))  # an unreachable node
+@example((graph({1: 0, 2: 0}, {(1, 2)}), aid(1)))  # equal times
+@example((graph({1: 0, 2: 1}, {(1, 2)}), aid(2)))  # the wrong root
+@example((graph({1: 0}, set()), aid(2)))  # a missing root
+def test_the_public_constructor_accepts_exactly_what_validate_cteg_accepts(case):
+    g, r = case
+    diag = validate_cteg(g, r)
+    try:
+        c = Cteg(g, r)
+    except ValidationFailedError as exc:
+        assert not diag.ok and exc.diagnostics == diag and str(exc) == str(ValidationFailedError(diag))
+        return
+    assert diag.ok and c.root == r and c.graph is g
+    assert graph_from_rows(projection_rows(c), g.type_set) == g
+
+
+def test_graft_cteg_and_the_public_constructor_run_no_validation():
+    c1, c2 = random_cteg(random.Random(1), 30), random_cteg(random.Random(2), 10, root_ts=10_000)
+    p, g = temporal_projection(c1)[7], c1.graph
+    built, patch = counting_graphs()
+    with _spy() as spy, patch:
+        composed = graft_cteg(c1, p, c2)
+        assert Cteg(g, c1.root) == c1
+        assert spy.call_count == 0 and built == []
+    assert composed == reference_graft_cteg(c1, p, c2)
 
 
 _bad_records = st.tuples(
@@ -336,6 +409,10 @@ def test_a_payload_that_is_not_bytes_is_rejected(payload):
     with pytest.raises(TypeError, match="must be bytes"):
         table.append(_plain_rows([(aid(2), aid(1), ts(1), ty("evt"), b""), (aid(3), aid(1), ts(1), ty("evt"), payload)]))
     assert table.rows == _plain_rows([(aid(1), None, ts(0), ty("evt"), b"")]) and table.t == {aid(1).value: 0}
+    # The public constructor proves a graph's rows with the same check.
+    for rows in ([(aid(1), None, ts(0), ty("evt"), payload)], [(aid(1), None, ts(0), ty("evt"), b""), (aid(2), aid(1), ts(1), ty("evt"), payload)]):
+        with pytest.raises(TypeError, match="must be bytes"):
+            Cteg(graph_from_rows(rows), aid(1))
 
 
 @pytest.mark.parametrize("field, value, name", [(2, 0, "Timestamp, not int"), (3, "evt", "EventType, not str"), (2, None, "Timestamp, not NoneType")])
@@ -349,3 +426,7 @@ def test_a_timestamp_or_type_that_is_not_ours_is_rejected(field, value, name):
     with pytest.raises(TypeError, match=f"must be an? {name}"):
         table.append(_plain_rows([child, (*child[:field], value, *child[field + 1 :])]))
     assert table.rows == _plain_rows([root]) and table.t == {aid(1).value: 0}
+    # The public constructor proves a graph's rows with the same check.
+    for rows in ([(*root[:field], value, *root[field + 1 :])], [root, (*child[:field], value, *child[field + 1 :])]):
+        with pytest.raises(TypeError, match=f"must be an? {name}"):
+            Cteg(graph_from_rows(rows), aid(1))

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from cteg import (
     ActionId,
+    CompatibilityError,
     Cteg,
+    DisjointnessError,
     Emission,
     EventType,
     ExecutionSequence,
@@ -26,12 +28,14 @@ from cteg import (
     Timestamp,
     TypedTemporalGraph,
     UniverseBounds,
+    UnknownNodeError,
+    ValidationFailedError,
     apply_emission,
     temporal_projection,
 )
-from cteg.core import graft
+from cteg.core import graft, graph_text
 from cteg.dynamics import StepLabel, _Budget, _seq_sort_key
-from cteg.persistence import graph_text, parse_trace
+from cteg.persistence import parse_trace
 
 
 def aid(i: int) -> ActionId:
@@ -117,6 +121,30 @@ def ctegs(draw, max_nodes: int = 12) -> Cteg:
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     return random_cteg(random.Random(seed), n)
+
+
+def reference_graft_cteg(c1: Cteg, p: ActionId, c2: Cteg) -> Cteg:
+    """`graft_cteg` by its definition: the graph union plus the edge (p, root of c2), validated whole."""
+    return Cteg(graft(c1.graph, p, c2.graph, c2.root), c1.root)
+
+
+def graft_outcome(run) -> object:
+    """What a graft returns, or the rule its error names ("attach", "overlap" or "time") and its message.
+
+    The reference words a broken time rule as an `edge-timestamp`
+    diagnostic of the whole graph, so its message is None there.
+    """
+    try:
+        return run()
+    except ValidationFailedError as exc:
+        assert exc.diagnostics.codes() == ("edge-timestamp",), exc
+        return "time", None
+    except UnknownNodeError as exc:
+        return "attach", str(exc)
+    except DisjointnessError as exc:
+        return "overlap", str(exc)
+    except CompatibilityError as exc:
+        return "time", str(exc)
 
 
 def reference_key(g: TypedTemporalGraph) -> tuple:
