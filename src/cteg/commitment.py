@@ -71,14 +71,17 @@ def merkle_root(c: Cteg) -> Digest:
     Timestamps strictly increase along edges, so walking the trace's plain
     projection rows backwards, in descending (timestamp, id) order, reaches
     every child before its parent and collects each node's child digests in
-    reverse canonical order. The root comes last.
+    reverse canonical order. The root comes last. Each type's preimage head
+    is built once per call.
     """
     below: dict[bytes, list[bytes]] = {}
+    heads: dict[str, bytes] = {}
     digest = b""
     for n, parent, micros, event_type, payload in reversed(c._rows):
         kids = below.pop(n, [])
         kids.reverse()
-        digest = _digest(_type_head(event_type.name), micros, payload, kids)
+        head = heads.get(event_type.name) or heads.setdefault(event_type.name, _type_head(event_type.name))
+        digest = _digest(head, micros, payload, kids)
         if parent is not None:
             below.setdefault(parent, []).append(digest)
     return Digest(digest)

@@ -13,11 +13,13 @@ valid CTEG at all times, including after a crash that truncated the log.
 
 `MemoryStore` keeps the tables in memory; `FileStore` is a `MemoryStore`
 that also writes each checked change to a single-file append log before
-admitting it. The file layout is a `CTEGSTORE1` magic header followed by
-length-prefixed little-endian binary records, one per registration or
-node row; a torn trailing record is cut off on open, and a file cut short
-inside its header is a new log, while any complete but malformed or
-inconsistent record is reported as corruption.
+admitting it. A new log is a `CTEGSTORE2` magic header, then one record
+per registration or batch, framed by its length and two CRC-32s (length,
+body), so a crash prefix holds whole batches only. A torn trailing record
+is cut off on open, and a file cut short inside its header is a new log,
+while a record that fails a checksum, or is malformed or inconsistent, is
+corruption. `CTEGSTORE1` logs keep their unchecksummed one-record-per-row
+format, so their crash prefixes may end inside a batch.
 
 The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
@@ -33,8 +35,10 @@ import base64
 import logging
 import os
 import struct
+from binascii import crc32
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from threading import RLock
 from typing import Sequence
@@ -101,7 +105,14 @@ class EmptySessionError(StoreError):
 
 
 class CorruptStoreError(StoreError):
-    """The store's backing file is structurally or semantically inconsistent."""
+    """The store's backing file is structurally or semantically inconsistent.
+
+    Replay names the first bad record by its index `record` and byte `offset`, both None for a bad header.
+    """
+
+    def __init__(self, reason: str, record: int | None = None, offset: int | None = None) -> None:
+        super().__init__(reason if record is None else f"record {record} at byte {offset}: {reason}")
+        self.reason, self.record, self.offset = reason, record, offset
 
 
 class TraceFormatError(CtegError):
@@ -187,17 +198,25 @@ class MemoryStore:
 # File-backed store
 
 
-_MAGIC = b"CTEGSTORE1"
+_MAGIC = b"CTEGSTORE2"  # what a new log begins with
+_MAGIC_V1 = b"CTEGSTORE1"
 _KIND_SESSION = 1
-_KIND_NODE = 2
+_KIND_NODE = 2  # v1: one node row; v2: one batch of rows
 _U32 = struct.Struct("<I")
-# Node record bodies up to the type name: kind, node, session, parent flag, [parent,] micros, type length.
+# v1 node record bodies up to the type name: kind, node, session, parent flag, [parent,] micros, type length.
 _ROOT_HEAD = struct.Struct("<B16s16sBqH")
 _CHILD_HEAD = struct.Struct("<B16s16sB16sqH")
+# v2 records: length of what follows it, CRC-32 of the length field, CRC-32 of the body; then the body.
+_FRAME = struct.Struct("<III")
+# v2 batch bodies up to the type name lengths: kind, session, row count, type count.
+_BATCH_HEAD = struct.Struct("<B16sIH")
+_ID = struct.Struct("16s")
 
 
-def _encode_rows(session_id: SessionId, rows: Sequence[_Plain]) -> bytearray:
-    """One v1 node record per plain row, concatenated."""
+def _encode_v1(session_id: SessionId, rows: Sequence[_Plain] | None) -> bytes | bytearray:
+    """A v1 registration record, or one v1 node record per plain row, concatenated."""
+    if rows is None:
+        return _U32.pack(17) + bytes([_KIND_SESSION]) + session_id.value
     out = bytearray()
     sid = session_id.value
     for node, parent, micros, event_type, payload in rows:
@@ -214,14 +233,35 @@ def _encode_rows(session_id: SessionId, rows: Sequence[_Plain]) -> bytearray:
     return out
 
 
+def _encode_v2(session_id: SessionId, rows: Sequence[_Plain] | None) -> bytes:
+    """One framed v2 record: a registration, or a whole batch as columns with its type names once."""
+    if rows is None:
+        body = bytes([_KIND_SESSION]) + session_id.value
+    else:
+        index: dict[str, int] = {}
+        kinds = [index.setdefault(event_type.name, len(index)) for _, _, _, event_type, _ in rows]
+        if len(index) > 0xFFFF:
+            raise StoreError(f"a batch of {len(index)} type names exceeds the 65535 a record holds")
+        names = [name.encode("utf-8") for name in index]
+        nodes, parents, micros, _, payloads = zip(*rows) if rows else ((),) * 5
+        n = len(rows)
+        body = b"".join((
+            _BATCH_HEAD.pack(_KIND_NODE, session_id.value, n, len(names)), struct.pack(f"<{len(names)}H", *map(len, names)), *names,
+            *nodes, bytes(parent is not None for parent in parents), *(parent for parent in parents if parent is not None),
+            struct.pack(f"<{n}q", *micros), struct.pack(f"<{n}H", *kinds), struct.pack(f"<{n}I", *map(len, payloads)), *payloads,
+        ))
+    size = _U32.pack(len(body) + 8)
+    return _FRAME.pack(len(body) + 8, crc32(size), crc32(body)) + body
+
+
 @lru_cache(maxsize=256)
 def _event_type(name: str) -> EventType:
     """Parsed and replayed rows share one checked `EventType` per name; a trace holds few of them."""
     return EventType(name)
 
 
-def _decode_record(body: bytes) -> SessionId | tuple[bytes, _Plain]:
-    """A session registration, or a plain node row with its session's raw id; any malformed body is corruption."""
+def _decode_v1(body: bytes) -> SessionId | tuple[bytes, tuple[_Plain]]:
+    """A session registration, or one plain node row with its session's raw id; any malformed body is corruption."""
     try:
         kind = body[0]
         if kind == _KIND_SESSION:
@@ -244,9 +284,108 @@ def _decode_record(body: bytes) -> SessionId | tuple[bytes, _Plain]:
         payload = body[end + 4 :]
         if len(payload) != payload_len:
             raise CorruptStoreError("node record length mismatch")
-        return sid, (node, parent, micros, _event_type(body[offset:end].decode("utf-8")), payload)
+        return sid, ((node, parent, micros, _event_type(body[offset:end].decode("utf-8")), payload),)
     except (IndexError, ValueError, struct.error) as exc:
         raise CorruptStoreError(f"malformed record: {exc}") from exc
+
+
+def _decode_v2(body: bytes) -> SessionId | tuple[bytes, list[_Plain]]:
+    """A session registration, or a batch of plain rows with its session's raw id; any malformed body is corruption."""
+    if body[0] != _KIND_NODE:
+        return _decode_v1(body)  # a registration, or an unknown kind, reads as in v1
+    try:
+        _, sid, n, k = _BATCH_HEAD.unpack_from(body)
+        at = _BATCH_HEAD.size + 2 * k
+        types = []
+        for size in struct.unpack_from(f"<{k}H", body, _BATCH_HEAD.size):
+            types.append(_event_type(body[at : at + size].decode("utf-8")))
+            at += size
+        nodes = [node for (node,) in _ID.iter_unpack(body[at : at + 16 * n])]
+        flags = body[at + 16 * n : at + 17 * n]
+        linked = flags.count(1)
+        if linked + flags.count(0) != n:
+            raise CorruptStoreError("bad parent flag")
+        at += 17 * n
+        linked_parents = iter([parent for (parent,) in _ID.iter_unpack(body[at : at + 16 * linked])])
+        at += 16 * linked
+        micros = struct.unpack_from(f"<{n}q", body, at)
+        kinds = [types[i] for i in struct.unpack_from(f"<{n}H", body, at + 8 * n)]
+        ends = list(accumulate(struct.unpack_from(f"<{n}I", body, at + 10 * n), initial=at + 14 * n))
+        if ends[-1] != len(body):
+            raise CorruptStoreError("batch record length mismatch")
+        # Every column is whole now, so each parent flag finds its id.
+        parents = [next(linked_parents) if flag else None for flag in flags]
+        payloads = [body[start:end] for start, end in zip(ends, ends[1:])]
+        return sid, list(zip(nodes, parents, micros, kinds, payloads))
+    except (IndexError, ValueError, struct.error) as exc:
+        raise CorruptStoreError(f"malformed record: {exc}") from exc
+
+
+def _frame_v1(data: bytes, offset: int) -> tuple[bytes, int] | None:
+    """The body and end of the v1 record at `offset`, or None when the log ends inside it."""
+    if offset + 4 > len(data):
+        return None
+    end = offset + 4 + _U32.unpack_from(data, offset)[0]
+    return (data[offset + 4 : end], end) if end <= len(data) else None
+
+
+def _frame_v2(data: bytes, offset: int) -> tuple[bytes, int] | None:
+    """The checked body and end of the v2 record at `offset`, or None when the log ends inside it (a torn tail).
+
+    A damaged length fails its own checksum, so it is corruption, never a torn tail.
+    """
+    if offset + 8 > len(data):
+        return None
+    size_field = data[offset : offset + 4]
+    if crc32(size_field) != _U32.unpack_from(data, offset + 4)[0]:
+        raise CorruptStoreError("length checksum mismatch")
+    (size,) = _U32.unpack(size_field)
+    if size < 9:
+        raise CorruptStoreError(f"record length {size} is below the 9-byte minimum")
+    end = offset + 4 + size
+    if end > len(data):
+        return None
+    body = data[offset + 12 : end]
+    if crc32(body) != _U32.unpack_from(data, offset + 8)[0]:
+        raise CorruptStoreError("body checksum mismatch")
+    return body, end
+
+
+def _replay(data: bytes) -> tuple[dict[SessionId, NodeTable], int, int]:
+    """Replay a log's bytes: its tables in registration order, its complete records, and where a torn tail starts.
+
+    The magic picks the framing and the record decoder; the loop is the
+    same for both versions. Every batch goes through its table's check, so
+    a semantic violation is corruption too. Writes nothing; raises
+    CorruptStoreError naming the first bad record by index and byte offset.
+    """
+    if data.startswith(_MAGIC):
+        frame, decode = _frame_v2, _decode_v2
+    elif data.startswith(_MAGIC_V1):
+        frame, decode = _frame_v1, _decode_v1
+    else:
+        raise CorruptStoreError("missing store magic header")
+    tables: dict[SessionId, NodeTable] = {}
+    by_sid: dict[bytes, NodeTable] = {}
+    index, offset = 0, len(_MAGIC)
+    try:
+        while (framed := frame(data, offset)) is not None:
+            body, end = framed
+            record = decode(body)
+            if isinstance(record, SessionId):
+                if record in tables:
+                    raise DuplicateSessionError(f"session {record.hex} is already registered")
+                tables[record] = by_sid[record.value] = NodeTable()
+            else:
+                sid, rows = record
+                table = by_sid.get(sid)
+                if table is None:
+                    raise UnknownSessionError(f"session {sid.hex()} is not registered")
+                table.append(rows)
+            index, offset = index + 1, end
+    except StoreError as exc:
+        raise CorruptStoreError(str(exc), index, offset) from exc
+    return tables, index, offset
 
 
 @dataclass(frozen=True)
@@ -254,9 +393,11 @@ class OpenReport:
     """What opening a `FileStore` found and did.
 
     `records` complete records were replayed into `sessions` sessions, and
-    `torn_bytes` bytes of a torn trailing record were cut off. `new_log` is
-    true when the file was missing or cut inside its header, so a fresh
-    header was written and nothing was replayed.
+    `torn_bytes` bytes of a torn trailing record were cut off. A record is
+    a registration or, in a v2 log, a whole batch; a v1 log holds one
+    record per row. `new_log` is true when the file was missing or cut
+    inside its header, so a fresh header was written and nothing was
+    replayed.
     """
 
     records: int
@@ -275,14 +416,15 @@ class FileStore(MemoryStore):
 
     Opening an existing file replays every complete record through the
     node-table check of an append, so a semantic violation surfaces as
-    corruption named by record index and byte offset; a torn tail is cut
-    off (and logged as a warning on the `cteg` logger), and `open_report`
-    says what opening found. Replay admits every payload already in the log,
-    whatever cap it was written under. A missing file, or one cut short
-    inside its header, starts a new log. The store keeps one unbuffered
-    append handle until `close` (or the end of a `with` block), and writes
-    each batch with one `write` before admitting it, rolling back a failed
-    or short write. An append never goes to a log that is no longer linked
+    corruption named by record index and byte offset (and logged as an
+    error on the `cteg` logger); a torn tail is cut off (and logged as a
+    warning), and `open_report` says what opening found. Replay admits
+    every payload already in the log, whatever cap it was written under. A
+    missing file, or one cut short inside its header, starts a new v2 log;
+    a v1 log keeps taking v1 records. The store keeps one unbuffered append
+    handle until `close` (or the end of a `with` block), and writes each
+    batch with one `write` before admitting it, rolling back a failed or
+    short write. An append never goes to a log that is no longer linked
     (removed, or renamed over): it reopens the path, failing if it is gone.
     """
 
@@ -295,7 +437,19 @@ class FileStore(MemoryStore):
             self._path.write_bytes(_MAGIC)
             self._open_report = OpenReport(0, 0, 0, True)
         else:
-            self._open_report = self._replay(data)
+            try:
+                self._tables, records, end = _replay(data)
+            except CorruptStoreError as exc:
+                if exc.record is not None:
+                    _logger.error("store.corrupt_record path=%s record=%d offset=%d reason=%s", self._path, exc.record, exc.offset, exc.reason)
+                raise
+            torn = len(data) - end
+            if torn:
+                with open(self._path, "r+b") as fh:
+                    fh.truncate(end)
+                _logger.warning("store.torn_tail_cut path=%s offset=%d bytes=%d records=%d", self._path, end, torn, records)
+            self._open_report = OpenReport(records, len(self._tables), torn, False)
+        self._encode = _encode_v1 if data.startswith(_MAGIC_V1) else _encode_v2
         self._log = _open_log(self._path)
 
     @property
@@ -303,40 +457,8 @@ class FileStore(MemoryStore):
         """What opening the file found: records replayed, sessions, torn bytes cut, new log."""
         return self._open_report
 
-    def _replay(self, data: bytes) -> OpenReport:
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise CorruptStoreError("missing store magic header")
-        tables = self._tables
-        by_sid: dict[bytes, NodeTable] = {}
-        index, offset = 0, len(_MAGIC)
-        while offset + 4 <= len(data):
-            end = offset + 4 + _U32.unpack_from(data, offset)[0]
-            if end > len(data):
-                break
-            try:
-                record = _decode_record(data[offset + 4 : end])
-                if isinstance(record, SessionId):
-                    if record in tables:
-                        raise DuplicateSessionError(f"session {record.hex} is already registered")
-                    tables[record] = by_sid[record.value] = NodeTable()
-                else:
-                    sid, row = record
-                    (by_sid.get(sid) or self._table(SessionId(sid))).append((row,))
-            except StoreError as exc:
-                raise CorruptStoreError(f"record {index} at byte {offset}: {exc}") from exc
-            index, offset = index + 1, end
-        torn = len(data) - offset
-        if torn:
-            with open(self._path, "r+b") as fh:
-                fh.truncate(offset)
-            _logger.warning("store.torn_tail_cut path=%s offset=%d bytes=%d records=%d", self._path, offset, torn, index)
-        return OpenReport(index, len(tables), torn, False)
-
     def _write(self, session_id: SessionId, rows: Sequence[_Plain] | None) -> None:
-        if rows is None:
-            blob = _U32.pack(17) + bytes([_KIND_SESSION]) + session_id.value
-        else:
-            blob = _encode_rows(session_id, rows)
+        blob = self._encode(session_id, rows)
         held = os.fstat(self._log.fileno())
         if held.st_nlink == 0:
             # The log is no longer linked: an append to it would be lost on reopen.

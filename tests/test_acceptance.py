@@ -30,7 +30,7 @@ from cteg import (
 )
 from cteg.cli import EXIT_BUDGET, EXIT_OK, SimulationConfig, main, run_simulation
 from cteg.dynamics import ExecutionSequence, hierarchy
-from cteg.persistence import EmptySessionError, _MAGIC, append_trace
+from cteg.persistence import EmptySessionError, _MAGIC, _MAGIC_V1, append_trace
 from util import (
     aid,
     cteg,
@@ -253,6 +253,7 @@ def test_c08_persistence_round_trip_and_crash_prefix(tmp_path):
             problems.append(f"trace {i}: round trip differs")
 
     path = tmp_path / "log.cteg"
+    path.write_bytes(_MAGIC_V1)  # a v1 log: one record per row, so at least 100 prefixes
     with FileStore(path) as store:
         sessions = [store.register_session() for _ in range(4)]
         total_nodes = 0

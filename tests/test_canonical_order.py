@@ -14,7 +14,8 @@ Covered claims:
       traces stay byte-identical to their goldens
     - a store log of each simulated trace, after a reopen and a second
       append, and the output of `verify`, `project`, `normalize` and
-      `commit` on each stay byte-identical to their golden
+      `commit` on each stay byte-identical to their golden, for a v1 log
+      and for a new (v2) log
 """
 
 import hashlib
@@ -41,6 +42,7 @@ from cteg import (
     validate_cteg,
 )
 from cteg.cli import main
+from cteg.persistence import _MAGIC_V1
 from cteg.core import graph_from_rows
 from cteg.dynamics import _seq_sort_key
 from util import aid, graph, hexid, reference_key, ty
@@ -260,6 +262,7 @@ GOLDEN_TIED_EXPORTS = "bbd0edeebe7d01f7beaf9394cb4f9b9bba9ec522870e92ffd45086578
 GOLDEN_TIED_RECEIPTS = "160ffda05fa4088bff33d4a233e1b7d19ec2f9c5af7f0c6e6e2dc18c49c4c532"
 GOLDEN_SIMULATIONS = "25b5ba4adedcb83196508c92c9cb4e3ae89838a80695aaee5a9c93cb572194cb"
 GOLDEN_STORES_AND_COMMANDS = "ad95dd9a381e749e48345a263f95e970db0e99ab6f10c68715c01a46cabad620"
+GOLDEN_V2_STORES_AND_COMMANDS = "a37956285df5bb5d9a5ca60c49f4a2e9c6084bf7ca1bc488ac186e039c7f46f2"
 
 
 class TestTies:
@@ -290,22 +293,31 @@ class TestTies:
         assert outputs.hexdigest() == GOLDEN_SIMULATIONS
 
     def test_stores_and_commands_match_their_golden(self, tmp_path, capsys):
-        outputs = hashlib.sha256()
-        for seed in range(10):
-            out, log = tmp_path / f"sim{seed}.cteg", tmp_path / f"sim{seed}.store"
-            argv = ["simulate", "--seed", str(seed), "--max-depth", "3", "--fail-prob", "0.3", "--out", str(out)]
-            assert main(argv) == 0
-            trace, sid = import_trace(out.read_bytes())
-            with FileStore(log) as store:
-                store.register_session(sid)
-                append_trace(store, sid, trace)
-            outputs.update(log.read_bytes())
-            with FileStore(log) as store:
-                again = store.register_session(SessionId.from_int(seed))
-                append_trace(store, again, store.load_session(sid))
-            outputs.update(log.read_bytes())
-            capsys.readouterr()
-            for command in ("verify", "project", "normalize", "commit"):
-                assert main([command, str(out)]) == 0
-                outputs.update(capsys.readouterr().out.encode())
-        assert outputs.hexdigest() == GOLDEN_STORES_AND_COMMANDS
+        assert stores_and_commands(tmp_path, capsys, _MAGIC_V1) == GOLDEN_STORES_AND_COMMANDS
+
+    def test_v2_stores_and_commands_match_their_golden(self, tmp_path, capsys):
+        assert stores_and_commands(tmp_path, capsys, b"") == GOLDEN_V2_STORES_AND_COMMANDS
+
+
+def stores_and_commands(tmp_path, capsys, magic: bytes) -> str:
+    """Digest of ten simulated traces' store logs, each begun as `magic` (empty: a new log), and command outputs."""
+    outputs = hashlib.sha256()
+    for seed in range(10):
+        out, log = tmp_path / f"sim{seed}.cteg", tmp_path / f"sim{seed}.store"
+        argv = ["simulate", "--seed", str(seed), "--max-depth", "3", "--fail-prob", "0.3", "--out", str(out)]
+        assert main(argv) == 0
+        trace, sid = import_trace(out.read_bytes())
+        log.write_bytes(magic)
+        with FileStore(log) as store:
+            store.register_session(sid)
+            append_trace(store, sid, trace)
+        outputs.update(log.read_bytes())
+        with FileStore(log) as store:
+            again = store.register_session(SessionId.from_int(seed))
+            append_trace(store, again, store.load_session(sid))
+        outputs.update(log.read_bytes())
+        capsys.readouterr()
+        for command in ("verify", "project", "normalize", "commit"):
+            assert main([command, str(out)]) == 0
+            outputs.update(capsys.readouterr().out.encode())
+    return outputs.hexdigest()

@@ -24,6 +24,9 @@ Covered claims:
       module, and the row errors are also the session's error classes
     - the trace text format is canonical: export is deterministic, import
       inverts it bit-exactly, and malformed text is reported line by line
+
+The tests that read a log's bytes start it as a `CTEGSTORE1` log, which
+keeps its v1 records; `test_store_v2.py` has their twins for new logs.
 """
 
 import logging
@@ -68,6 +71,7 @@ from cteg.persistence import (
     UnknownParentError,
     UnknownSessionError,
     _MAGIC,
+    _MAGIC_V1,
 )
 from util import aid, cteg, ctegs, hexid, random_cteg, record_boundaries, ts, ty
 
@@ -285,6 +289,7 @@ class TestFileStore:
 
     def test_hand_edited_timestamp_is_corruption(self, tmp_path):
         path = tmp_path / "log.cteg"
+        path.write_bytes(_MAGIC_V1)  # a v1 log, read as v1 bytes below
         with FileStore(path) as store:
             store.register_session(sid(1))
             store.append_rows(sid(1), [row(10, None, 5)])
@@ -312,6 +317,7 @@ class TestFileStore:
     )
     def test_corruption_names_the_record_and_its_offset(self, tmp_path, record_index, field_offset, value, reason):
         path = tmp_path / "log.cteg"
+        path.write_bytes(_MAGIC_V1)  # a v1 log, read as v1 bytes below
         with FileStore(path) as store:
             store.register_session(sid(1))
             store.append_rows(sid(1), [row(10, None, 5)])
@@ -326,6 +332,7 @@ class TestFileStore:
 
     def test_every_short_record_is_corruption(self, tmp_path):
         path = tmp_path / "log.cteg"
+        path.write_bytes(_MAGIC_V1)  # a v1 log, read as v1 bytes below
         with FileStore(path) as store:
             store.register_session(sid(1))
             store.append_rows(sid(1), [row(10, None, 0, payload=b"root")])
@@ -340,6 +347,7 @@ class TestFileStore:
 
     def test_torn_trailing_record_is_ignored(self, tmp_path):
         path = tmp_path / "log.cteg"
+        path.write_bytes(_MAGIC_V1)  # a v1 log, read as v1 bytes below
         with FileStore(path) as store:
             store.register_session(sid(1))
             store.append_rows(sid(1), [row(10, None, 0)])
@@ -355,7 +363,7 @@ class TestFileStore:
             path.write_bytes(data)
         with caplog.at_level(logging.DEBUG, logger="cteg"), FileStore(path) as store:
             assert store.open_report == OpenReport(records=0, sessions=0, torn_bytes=0, new_log=True)
-        assert path.read_bytes() == _MAGIC
+        assert path.read_bytes() == b"CTEGSTORE2"
         assert caplog.records == []
 
     def test_open_report_of_a_whole_log(self, tmp_path, caplog):
@@ -375,6 +383,7 @@ class TestFileStore:
 
     def test_open_report_of_a_log_cut_at_every_byte(self, tmp_path, caplog):
         path = tmp_path / "log.cteg"
+        path.write_bytes(_MAGIC_V1)  # a v1 log, read as v1 bytes below
         with FileStore(path) as store:
             store.register_session(sid(1))
             store.append_rows(sid(1), [row(10, None, 0, b"payload")])
@@ -405,6 +414,7 @@ class TestFileStore:
 
     def test_store_stays_appendable_after_a_cut_at_any_byte(self, tmp_path):
         path = tmp_path / "log.cteg"
+        path.write_bytes(_MAGIC_V1)  # a v1 log, read as v1 bytes below
         with FileStore(path) as store:
             store.register_session(sid(1))
             store.append_rows(sid(1), [row(10, None, 0, payload=b"root")])
@@ -503,6 +513,7 @@ class TestFileStore:
 
     def test_every_record_boundary_prefix_reconstructs(self, tmp_path):
         path = tmp_path / "log.cteg"
+        path.write_bytes(_MAGIC_V1)  # a v1 log, read as v1 bytes below
         with FileStore(path) as store:
             rng = random.Random(9)
             sessions = [store.register_session() for _ in range(2)]
@@ -558,6 +569,8 @@ def test_append_trace_writes_the_bytes_of_row_by_row_appends(traces):
     sessions = [sid(i + 1) for i in range(len(traces))]
     with tempfile.TemporaryDirectory() as tmp:
         batched, by_row = Path(tmp) / "batched.cteg", Path(tmp) / "by_row.cteg"
+        batched.write_bytes(_MAGIC_V1)  # v1 logs: one record per row, however the rows are batched
+        by_row.write_bytes(_MAGIC_V1)
         with FileStore(batched) as store:
             for session, c in zip(sessions, traces):
                 store.register_session(session)
