@@ -39,7 +39,7 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 _INVOKE_RATE = 0.35
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationConfig:
     """Parameters of one seeded recursive simulation."""
 

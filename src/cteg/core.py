@@ -29,7 +29,7 @@ import base64
 import secrets
 from bisect import bisect
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -192,11 +192,29 @@ class ActionId(_OpaqueId):
 _id_bytes = attrgetter("value")
 
 
+_slot_setters: dict[type, tuple] = {}  # each class's slot setters, in the order of its own `__slots__`
+
+
+def _new(cls, *values):
+    """An instance of the slotted class `cls` holding `values` in its own slots, in declaration order.
+
+    The one way an immutable value is built without its checks: the caller
+    guarantees what the checked constructor would prove and convert.
+    """
+    obj = object.__new__(cls)
+    setters = _slot_setters.get(cls)
+    if setters is None:
+        setters = _slot_setters[cls] = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+    for put, value in zip(setters, values):
+        put(obj, value)
+    return obj
+
+
 _TS_MIN = -(2**63)
 _TS_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Timestamp:
     """Microseconds since epoch as a signed 64-bit integer.
 
@@ -222,7 +240,7 @@ def _micros(value: object) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class EventType:
     """Named event type drawn from a graph's declared finite type set.
 
@@ -244,7 +262,7 @@ class EventType:
         return f"EventType({self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One named defect found by a validator."""
 
@@ -255,7 +273,7 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostics:
     """Outcome of a validation pass; ok exactly when no violations were found."""
 
@@ -272,22 +290,18 @@ class Diagnostics:
         return tuple(v.code for v in self.violations)
 
 
-def _as_edge(e) -> tuple[ActionId, ActionId]:
-    a, b = e
-    return (a, b)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class TypedTemporalGraph:
     """Directed graph whose nodes carry timestamps, types and payloads.
 
     Nothing is assumed about rootedness or the interplay of edges and
     timestamps; those properties are what the validators diagnose. The
     timestamp and type maps must be total on the node set; payloads default
-    to empty bytes for nodes they do not mention. Equality and hashing are
-    structural over all fields. The canonical key behind them is built from
-    raw values on the first comparison or hash and then cached, so building
-    a graph sorts nothing.
+    to empty bytes for nodes they do not mention. The constructor copies the
+    three maps, so the graph's maps are its own; callers must not edit them.
+    Equality and hashing are structural over all fields. The canonical key
+    behind them is built from raw values on the first comparison or hash and
+    then cached, so building a graph sorts nothing.
     """
 
     nodes: frozenset[ActionId]
@@ -296,10 +310,12 @@ class TypedTemporalGraph:
     tau: Mapping[ActionId, EventType]
     type_set: frozenset[EventType]
     payloads: Mapping[ActionId, bytes] | None = None
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = frozenset(self.nodes)
-        edges = frozenset(_as_edge(e) for e in self.edges)
+        edges = frozenset((a, b) for a, b in self.edges)
         t = dict(self.t)
         tau = dict(self.tau)
         type_set = frozenset(self.type_set)
@@ -330,11 +346,6 @@ class TypedTemporalGraph:
         object.__setattr__(self, "type_set", type_set)
         object.__setattr__(self, "payloads", payloads)
 
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_children", None)
-        object.__setattr__(self, "_indeg", None)
-
     @classmethod
     def trivial(
         cls,
@@ -355,26 +366,17 @@ class TypedTemporalGraph:
         )
 
     @classmethod
-    def _unchecked(
-        cls,
-        nodes: frozenset[ActionId],
-        edges: frozenset[tuple[ActionId, ActionId]],
-        t: dict[ActionId, Timestamp],
-        tau: dict[ActionId, EventType],
-        type_set: frozenset[EventType],
-        payloads: dict[ActionId, bytes],
-    ) -> "TypedTemporalGraph":
+    def _unchecked(cls, nodes, edges, t, tau, type_set, payloads) -> "TypedTemporalGraph":
         """A graph whose fields are well formed by construction, stored as given.
 
         The caller guarantees what `__post_init__` checks and converts to:
         frozensets, dicts total on the nodes, edges and types inside their sets.
         """
-        g = object.__new__(cls)
-        vars(g).update(
-            nodes=nodes, edges=edges, t=t, tau=tau, type_set=type_set, payloads=payloads,
-            _key=None, _hash=None, _children=None, _indeg=None,
-        )
-        return g
+        return _new(cls, nodes, edges, t, tau, type_set, payloads, None, None)
+
+    def __reduce__(self):
+        # The cached hash is left behind: it depends on the hash seed of the process that made it.
+        return (TypedTemporalGraph._unchecked, (self.nodes, self.edges, self.t, self.tau, self.type_set, self.payloads))
 
     def _canonical_key(self) -> tuple:
         """The graph's canonical form in primitives, built on first use and then cached.
@@ -383,7 +385,7 @@ class TypedTemporalGraph:
         the sorted type names and the payload column in id order. That orders
         graphs exactly as sorting those parts as objects does.
         """
-        key = self._key  # type: ignore[attr-defined]
+        key = self._key
         if key is None:
             order = sorted(self.nodes, key=_id_bytes)
             t, tau, payloads = self.t, self.tau, self.payloads
@@ -406,7 +408,7 @@ class TypedTemporalGraph:
         return self._canonical_key() == other._canonical_key()
 
     def __hash__(self) -> int:
-        h = self._hash  # type: ignore[attr-defined]
+        h = self._hash
         if h is None:
             h = hash(self._canonical_key())
             object.__setattr__(self, "_hash", h)
@@ -416,24 +418,18 @@ class TypedTemporalGraph:
         return f"TypedTemporalGraph(nodes={len(self.nodes)}, edges={len(self.edges)})"
 
     def children_map(self) -> dict[ActionId, tuple[ActionId, ...]]:
-        """Successors of every node, sorted for deterministic iteration."""
-        cached = self._children  # type: ignore[attr-defined]
-        if cached is None:
-            out: dict[ActionId, list[ActionId]] = {n: [] for n in self.nodes}
-            for a, b in self.edges:
-                out[a].append(b)
-            cached = {n: tuple(sorted(cs, key=_id_bytes)) for n, cs in out.items()}
-            object.__setattr__(self, "_children", cached)
-        return cached
+        """Successors of every node, sorted for deterministic iteration; a new dict on each call."""
+        out: dict[ActionId, list[ActionId]] = {n: [] for n in self.nodes}
+        for a, b in self.edges:
+            out[a].append(b)
+        return {n: tuple(sorted(cs, key=_id_bytes)) for n, cs in out.items()}
 
     def in_degrees(self) -> dict[ActionId, int]:
-        cached = self._indeg  # type: ignore[attr-defined]
-        if cached is None:
-            cached = {n: 0 for n in self.nodes}
-            for _, b in self.edges:
-                cached[b] += 1
-            object.__setattr__(self, "_indeg", cached)
-        return cached
+        """In-degree of every node; a new dict on each call."""
+        out = dict.fromkeys(self.nodes, 0)
+        for _, b in self.edges:
+            out[b] += 1
+        return out
 
     def in_degree(self, n: ActionId) -> int:
         return self.in_degrees()[n]
@@ -463,14 +459,14 @@ class Cteg:
     well-formedness by `NodeTable.check`: the public constructor also checks
     that no edge was lost to a second parent and that the first row is
     `root`, and on any defect raises ValidationFailedError with the
-    diagnostics of `validate_cteg`. `graph` and `parent_map` are built
-    from the rows on first use. Traces are equal when their type sets and
-    rows are, which for valid traces is exactly equality of their graphs.
+    diagnostics of `validate_cteg`. `graph` is built from the rows on first
+    use and then kept. Traces are equal when their type sets and rows are,
+    which for valid traces is exactly equality of their graphs.
     """
 
-    __slots__ = ("root", "_rows", "_types", "_graph", "_parents")
+    __slots__ = ("root", "_rows", "_types", "_graph")
 
-    def __init__(self, graph: TypedTemporalGraph, root: ActionId) -> None:
+    def __new__(cls, graph: TypedTemporalGraph, root: ActionId) -> "Cteg":
         parents = {b: a for a, b in graph.edges}
         t, tau, payloads = graph.t, graph.tau, graph.payloads
         rows = _in_projection_order(_plain_rows((n, parents.get(n), t[n], tau[n], payloads[n]) for n in t))
@@ -481,7 +477,7 @@ class Cteg:
             proved = False
         if not proved:
             raise ValidationFailedError(validate_cteg(graph, root))
-        self._fill(root, rows, graph.type_set, graph, None)
+        return _new(cls, root, rows, graph.type_set, graph)
 
     @classmethod
     def _proved(cls, rows: tuple[_Plain, ...], type_set: frozenset[EventType] | None = None) -> "Cteg":
@@ -490,13 +486,7 @@ class Cteg:
             kinds = list(map(itemgetter(3), rows))
             # A trace holds few type objects, so they are deduplicated by identity before any is hashed.
             type_set = frozenset(dict(zip(map(id, kinds), kinds)).values())
-        c = object.__new__(cls)
-        c._fill(ActionId(rows[0][0]), rows, type_set, None, None)
-        return c
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(Cteg.__slots__, values):
-            object.__setattr__(self, name, value)
+        return _new(cls, ActionId(rows[0][0]), rows, type_set, None)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError("Cteg is immutable")
@@ -529,12 +519,8 @@ class Cteg:
         return f"Cteg(root={self.root.hex[:8]}, nodes={len(self._rows)})"
 
     def parent_map(self) -> dict[ActionId, ActionId]:
-        """Unique parent of every non-root node, keyed in projection order."""
-        parents = self._parents
-        if parents is None:
-            parents = dict(islice(_ids(self._rows), 1, None))
-            object.__setattr__(self, "_parents", parents)
-        return parents
+        """Unique parent of every non-root node, keyed in projection order; a new dict on each call."""
+        return dict(islice(_ids(self._rows), 1, None))
 
 
 Row = tuple[ActionId, ActionId | None, Timestamp, EventType, bytes]
@@ -709,18 +695,17 @@ def validate_causal_graph(g: TypedTemporalGraph, r: ActionId) -> Diagnostics:
     for n in sorted(g.nodes - reachable):
         violations.append(Violation("unreachable", f"node {n.hex} is not reachable from the root"))
 
-    # Kahn peel; whatever cannot be peeled sits on or behind a cycle.
-    remaining = dict(indeg)
-    queue = deque(n for n in g.nodes if remaining[n] == 0)
+    # Kahn peel, which uses up the degrees; whatever cannot be peeled sits on or behind a cycle.
+    queue = deque(n for n in g.nodes if indeg[n] == 0)
     seen = 0
     while queue:
         seen += 1
         for c in children[queue.popleft()]:
-            remaining[c] -= 1
-            if remaining[c] == 0:
+            indeg[c] -= 1
+            if indeg[c] == 0:
                 queue.append(c)
     if seen != len(g.nodes):
-        stuck = sorted(n for n in g.nodes if remaining[n] > 0)
+        stuck = sorted(n for n in g.nodes if indeg[n] > 0)
         names = ", ".join(n.hex for n in stuck)
         violations.append(Violation("cycle", f"cycle detected involving nodes {names}"))
 

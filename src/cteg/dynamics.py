@@ -51,6 +51,7 @@ from .core import (
     ValidationFailedError,
     Violation,
     _ids,
+    _new,
     _objects,
     _Plain,
     graft,
@@ -95,7 +96,7 @@ class BudgetExceededError(CtegError):
     """The bounded enumeration exceeded its state-count budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Emission:
     """Step label: `emitted` nodes were added as children of `root`."""
 
@@ -108,7 +109,7 @@ class Emission:
             raise EmptyEmissionError("emission label requires a non-empty emitted set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invocation:
     """Step label: the final graph of `subtrace` was grafted under `root`.
 
@@ -131,9 +132,7 @@ class Invocation:
     @classmethod
     def _proved(cls, root: ActionId, subtrace: "ExecutionSequence", attach: ActionId) -> "Invocation":
         """A label whose attach node is known valid, as a settled child's root is; its final graph is not built."""
-        label = object.__new__(cls)
-        vars(label).update(root=root, subtrace=subtrace, attach=attach)
-        return label
+        return _new(cls, root, subtrace, attach)
 
 
 StepLabel = Emission | Invocation
@@ -243,16 +242,14 @@ class ExecutionSequence:
                 raise ValueError("need exactly one step label per extension")
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _chain(cls, graphs: Sequence[TypedTemporalGraph], steps: tuple[StepLabel, ...] | None):
         """A chain that extends by construction, built without the per-pair proof."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "graphs", graphs)
-        object.__setattr__(s, "steps", steps)
-        object.__setattr__(s, "_hash", None)
-        return s
+        return _new(cls, graphs, steps, None)
+
+    def __reduce__(self):  # leaves the cached hash behind, as a graph's `__reduce__` does
+        return (ExecutionSequence._chain, (self.graphs, self.steps))
 
     @classmethod
     def _rows(cls, rows: Sequence[_Plain], marks: Sequence[int], steps: tuple[StepLabel, ...] | None, type_set=None):
@@ -272,7 +269,7 @@ class ExecutionSequence:
         return self.graphs == other.graphs
 
     def __hash__(self) -> int:
-        h = self._hash  # type: ignore[attr-defined]
+        h = self._hash
         if h is None:
             h = hash(self.graphs)
             object.__setattr__(self, "_hash", h)
@@ -347,8 +344,9 @@ def apply_invocation(
     final = subtrace.final
     if p not in g.nodes:
         raise UnknownNodeError(f"invocation root {p.hex} is not in the graph")
+    indeg = final.in_degrees()
     if attach is None:
-        candidates = sorted(n for n in final.nodes if final.in_degree(n) == 0)
+        candidates = sorted(n for n, d in indeg.items() if d == 0)
         if not candidates:
             raise AttachPointError("final graph has no in-degree-zero node to attach")
         if len(candidates) > 1:
@@ -359,7 +357,7 @@ def apply_invocation(
     else:
         if attach not in final.nodes:
             raise AttachPointError(f"attach node {attach.hex} is not in the final graph")
-        if final.in_degree(attach) != 0:
+        if indeg[attach] != 0:
             raise AttachPointError(f"attach node {attach.hex} does not have in-degree zero")
     if not g.t[p] < final.t[attach]:
         raise CompatibilityError(
@@ -546,7 +544,7 @@ def _row_proofs(view: _Prefixes) -> Iterator[bool]:
     yield from repeat(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniverseBounds:
     """Finite pools delimiting the exhaustive enumeration universe.
 

@@ -306,7 +306,7 @@ def _decode_v2(body: bytes) -> SessionId | tuple[bytes, list[_Plain]]:
         if linked + flags.count(0) != n:
             raise CorruptStoreError("bad parent flag")
         at += 17 * n
-        linked_parents = iter([parent for (parent,) in _ID.iter_unpack(body[at : at + 16 * linked])])
+        parent_ids = iter([parent for (parent,) in _ID.iter_unpack(body[at : at + 16 * linked])])
         at += 16 * linked
         micros = struct.unpack_from(f"<{n}q", body, at)
         kinds = [types[i] for i in struct.unpack_from(f"<{n}H", body, at + 8 * n)]
@@ -314,7 +314,7 @@ def _decode_v2(body: bytes) -> SessionId | tuple[bytes, list[_Plain]]:
         if ends[-1] != len(body):
             raise CorruptStoreError("batch record length mismatch")
         # Every column is whole now, so each parent flag finds its id.
-        parents = [next(linked_parents) if flag else None for flag in flags]
+        parents = [next(parent_ids) if flag else None for flag in flags]
         payloads = [body[start:end] for start, end in zip(ends, ends[1:])]
         return sid, list(zip(nodes, parents, micros, kinds, payloads))
     except (IndexError, ValueError, struct.error) as exc:
@@ -388,7 +388,7 @@ def _replay(data: bytes) -> tuple[dict[SessionId, NodeTable], int, int]:
     return tables, index, offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpenReport:
     """What opening a `FileStore` found and did.
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cteg import SessionId, cli, export_trace, import_trace, phi
+from cteg import ActionId, EventType, ExecutionSequence, SessionId, Timestamp, TypedTemporalGraph, cli, export_trace, import_trace, phi
 from cteg.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, SimulationConfig, main, run_simulation
 from cteg.dynamics import Emission
 from util import counting_graphs, cteg, hexid, random_cteg
@@ -70,6 +70,26 @@ class TestSimulate:
         code, stdout, err = run(capsys, "simulate", "--branching", "0", "--out", str(out))
         assert code == EXIT_PARSE
         assert err == "error: branching must be at least 1\n" and stdout == ""
+        assert not out.exists()
+
+    def test_an_unwritable_out_is_an_argument_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "t.cteg"
+        code, stdout, err = run(capsys, "simulate", "--seed", "1", "--out", str(out))
+        assert code == EXIT_PARSE and stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--steps", "-1"], "steps and max_depth must be non-negative"),
+            (["--max-depth", "-1"], "steps and max_depth must be non-negative"),
+            (["--fail-prob", "1.5"], "fail_prob must lie in [0, 1]"),
+            (["--fail-prob", "-0.5"], "fail_prob must lie in [0, 1]"),
+        ],
+    )
+    def test_out_of_range_settings_are_argument_errors(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "t.cteg"
+        assert run(capsys, "simulate", *argv, "--out", str(out)) == (EXIT_PARSE, "", f"error: {message}\n")
         assert not out.exists()
 
     def test_summary_line_shape(self, tmp_path, capsys):
@@ -188,6 +208,22 @@ class TestNormalize:
         assert built == []
 
 
+@pytest.mark.parametrize("command", ["normalize", "project"])
+class TestScheduleAndProjectionInputs:
+    def test_an_invalid_trace_exits_one_and_names_the_violation(self, tmp_path, capsys, command):
+        path = tmp_path / "flat.cteg"
+        path.write_text(f"cteg/1 {hexid(1)}\n{hexid(1)}\t-\t5\tevt\t\n{hexid(2)}\t{hexid(1)}\t5\tevt\t\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("violation: edge-timestamp: ")
+
+    def test_a_missing_file_is_a_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "nope.cteg"
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+
+
 class TestProject:
     def test_counterexample_fixtures_project_identically(self, tmp_path, capsys):
         g = cteg(COUNTEREXAMPLE_NODES, COUNTEREXAMPLE_FORK_EDGES, root=1)
@@ -280,6 +316,27 @@ class TestOracle:
         assert code == EXIT_BUDGET and len(calls) == 4
         assert out.splitlines()[-1] == "assert E1 == E2: ok"
         assert err == "budget exceeded while checking the fixed point\n"
+
+
+    def test_a_failed_assertion_prints_fail_and_exits_one(self, capsys, monkeypatch):
+        # E2 is made one sequence larger than E1, so the chain still ascends but does not stabilise.
+        extra = ExecutionSequence((TypedTemporalGraph.trivial(ActionId.from_int(99), Timestamp(0), EventType("evt")),), ())
+        calls = []
+
+        def one_level_too_many(current, bounds, budget):
+            calls.append(current)
+            level = phi(current, bounds, budget=budget)
+            return level | {extra} if len(calls) == 3 else level
+
+        monkeypatch.setattr(cli, "phi", one_level_too_many)
+        code, out, _ = run(capsys, "oracle", "--actions", "3", "--timestamps", "3", "--max-len", "2", "--d-max", "2")
+        assert code == EXIT_INVALID
+        assert out.splitlines()[-4:] == [
+            "assert ascending chain: ok",
+            "assert E0 != E1: ok",
+            "assert E1 == E2: FAIL",
+            "assert phi(S) == S: FAIL",
+        ]
 
 
 class TestModuleEntryPoint:

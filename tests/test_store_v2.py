@@ -17,6 +17,10 @@ Covered claims:
       is corruption named by its record's index and offset, never a torn
       tail; so is a complete record the table rejects, and each logs one
       `store.corrupt_record` error on the `cteg` logger
+    - so is a last record whose checksums hold but whose body is malformed
+      (a column cut short, a length that overruns, a type index or name
+      that does not decode) or whose length is below the 9-byte minimum;
+      reopening it leaves the file's bytes as they were
 """
 
 import logging
@@ -268,6 +272,55 @@ class TestCorruption:
         data[last + field] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptStoreError, match=f"^record 4 at byte {last}: {reason} mismatch"):
+            FileStore(path)
+        assert path.read_bytes() == data
+
+    # body offsets of the batch below: head 23, one u16 name length, the 3-byte name "evt", node ids 28-60,
+    # parent flags 60-62, one parent id 62-78, timestamps 78-94, type indices 94-98, payload lengths 98-106, payloads
+    @pytest.mark.parametrize(
+        "edit,reason",
+        [
+            (lambda body: body[:10], "malformed record"),
+            (lambda body: body[:24], "malformed record"),
+            (lambda body: body[:21] + struct.pack("<H", 5000) + body[23:], "malformed record"),
+            (lambda body: body[:25] + b"\xff\xfe\xfd" + body[28:], "malformed record"),
+            (lambda body: body[:40], "malformed record"),
+            (lambda body: body[:70], "malformed record"),
+            (lambda body: body[:85], "malformed record"),
+            (lambda body: body[:96], "malformed record"),
+            (lambda body: body[:94] + struct.pack("<H", 1) + body[96:], "malformed record"),
+            (lambda body: body[:100], "malformed record"),
+            (lambda body: body[:107], "length mismatch"),
+            (lambda body: body[:102] + struct.pack("<I", 1000) + body[106:], "length mismatch"),
+        ],
+        ids=[
+            "head-cut", "name-lengths-cut", "name-count-overruns", "name-not-utf8", "node-ids-cut", "parent-ids-cut",
+            "timestamps-cut", "type-indices-cut", "type-index-past-the-names", "payload-lengths-cut", "payloads-cut",
+            "payload-length-overruns",
+        ],
+    )
+    def test_a_malformed_body_with_good_checksums_is_corruption_not_a_torn_tail(self, tmp_path, caplog, edit, reason):
+        path = tmp_path / "log.cteg"
+        body = batch(sid(1), [row(10, None, 5, b"ab"), row(11, 10, 6, b"c")])[12:]
+        assert len(body) == 109
+        data = MAGIC + registration(sid(1)) + framed(edit(body))  # the malformed batch is the last record
+        path.write_bytes(data)
+        start = len(MAGIC) + len(registration(sid(1)))
+        with caplog.at_level(logging.DEBUG, logger="cteg"), pytest.raises(CorruptStoreError, match=f"^record 1 at byte {start}: .*{reason}") as raised:
+            FileStore(path)
+        assert (raised.value.record, raised.value.offset) == (1, start)
+        assert path.read_bytes() == data
+        assert [(e.levelno, e.getMessage().split()[0]) for e in caplog.records] == [(logging.ERROR, "store.corrupt_record")]
+
+    @pytest.mark.parametrize("size", [0, 1, 8])
+    @pytest.mark.parametrize("tail", [b"", bytes(4)], ids=["log-ends-after-the-length-checksum", "more-bytes-follow"])
+    def test_a_checksummed_length_below_the_minimum_is_corruption(self, tmp_path, size, tail):
+        path = tmp_path / "log.cteg"
+        size_field = struct.pack("<I", size)
+        data = MAGIC + registration(sid(1)) + size_field + struct.pack("<I", zlib.crc32(size_field)) + tail
+        path.write_bytes(data)
+        start = len(MAGIC) + len(registration(sid(1)))
+        with pytest.raises(CorruptStoreError, match=f"^record 1 at byte {start}: record length {size} is below the 9-byte minimum$"):
             FileStore(path)
         assert path.read_bytes() == data
 
