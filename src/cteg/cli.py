@@ -21,6 +21,7 @@ from .core import (
     EventType,
     Timestamp,
     ValidationFailedError,
+    _frozen,
     height,
 )
 from .dynamics import BudgetExceededError, UniverseBounds, phi
@@ -39,6 +40,7 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 _INVOKE_RATE = 0.35
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:
     """Parameters of one seeded recursive simulation."""

@@ -29,7 +29,7 @@ import base64
 import secrets
 from bisect import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import total_ordering
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -114,6 +114,11 @@ class TimestampOrderError(StoreError, CompatibilityError):
     """A row's timestamp does not strictly exceed its parent's."""
 
 
+def _refuse(self, name: str, value: object = None) -> None:
+    """The one `__setattr__` and `__delattr__` of every immutable value: it refuses every name."""
+    raise FrozenInstanceError(f"{type(self).__name__} is immutable")
+
+
 @total_ordering
 class _OpaqueId:
     """Opaque identifier of `_size` bytes, 16 by default, totally ordered by its big-endian bytes.
@@ -132,10 +137,7 @@ class _OpaqueId:
         _put_value(self, value)
         _put_hash(self, hash(value))
 
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self):
         # Rebuilt from the bytes, so the hash is recomputed under the loading process's seed.
@@ -210,10 +212,22 @@ def _new(cls, *values):
     return obj
 
 
+def _frozen(cls):
+    """A frozen slotted dataclass given `_refuse` as its setters.
+
+    `slots=True` builds a new class, and the setters `frozen=True` generated
+    still name the old one, so on Python 3.10 and 3.11 a name that is not a
+    field raised TypeError from `super()`, not FrozenInstanceError.
+    """
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
 _TS_MIN = -(2**63)
 _TS_MAX = 2**63 - 1
 
 
+@_frozen
 @dataclass(frozen=True, order=True, slots=True)
 class Timestamp:
     """Microseconds since epoch as a signed 64-bit integer.
@@ -240,6 +254,7 @@ def _micros(value: object) -> int:
     return value
 
 
+@_frozen
 @dataclass(frozen=True, order=True, slots=True)
 class EventType:
     """Named event type drawn from a graph's declared finite type set.
@@ -262,6 +277,7 @@ class EventType:
         return f"EventType({self.name!r})"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Violation:
     """One named defect found by a validator."""
@@ -273,6 +289,7 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Diagnostics:
     """Outcome of a validation pass; ok exactly when no violations were found."""
@@ -290,6 +307,7 @@ class Diagnostics:
         return tuple(v.code for v in self.violations)
 
 
+@_frozen
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class TypedTemporalGraph:
     """Directed graph whose nodes carry timestamps, types and payloads.
@@ -488,10 +506,7 @@ class Cteg:
             type_set = frozenset(dict(zip(map(id, kinds), kinds)).values())
         return _new(cls, ActionId(rows[0][0]), rows, type_set, None)
 
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError("Cteg is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self):
         return (Cteg._proved, (self._rows, self._types))

@@ -50,6 +50,7 @@ from .core import (
     UnknownNodeError,
     ValidationFailedError,
     Violation,
+    _frozen,
     _ids,
     _new,
     _objects,
@@ -96,6 +97,7 @@ class BudgetExceededError(CtegError):
     """The bounded enumeration exceeded its state-count budget."""
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Emission:
     """Step label: `emitted` nodes were added as children of `root`."""
@@ -109,6 +111,7 @@ class Emission:
             raise EmptyEmissionError("emission label requires a non-empty emitted set")
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Invocation:
     """Step label: the final graph of `subtrace` was grafted under `root`.
@@ -197,6 +200,7 @@ class _Prefixes(Sequence):
         return hash(tuple(map(_Lane, map(hash, self))))
 
 
+@_frozen
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ExecutionSequence:
     """A finite chain of typed temporal graphs, each extending the last.
@@ -544,6 +548,7 @@ def _row_proofs(view: _Prefixes) -> Iterator[bool]:
     yield from repeat(False)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class UniverseBounds:
     """Finite pools delimiting the exhaustive enumeration universe.

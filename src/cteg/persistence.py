@@ -19,7 +19,10 @@ body), so a crash prefix holds whole batches only. A torn trailing record
 is cut off on open, and a file cut short inside its header is a new log,
 while a record that fails a checksum, or is malformed or inconsistent, is
 corruption. `CTEGSTORE1` logs keep their unchecksummed one-record-per-row
-format, so their crash prefixes may end inside a batch.
+format, so their crash prefixes may end inside a batch. Opening a store
+replays its log from the file one record at a time, so it holds one
+record beyond its tables, and each replayed or imported row whose parent
+came earlier in its batch shares that parent's id bytes.
 
 The text format serializes one trace bit-exactly: a `cteg/1 <session>`
 header line, then one tab-separated row per node in temporal projection
@@ -32,16 +35,16 @@ parsed rows with a `NodeTable`, as `load_session` does (see `import_trace`).
 from __future__ import annotations
 
 import base64
+import io
 import logging
 import os
 import struct
 from binascii import crc32
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from pathlib import Path
 from threading import RLock
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from .core import (
     ActionId,
@@ -56,6 +59,7 @@ from .core import (
     TimestampOrderError,
     TypedTemporalGraph,
     UnknownParentError,
+    _frozen,
     _in_projection_order,
     _micros,
     _objects,
@@ -211,6 +215,8 @@ _FRAME = struct.Struct("<III")
 # v2 batch bodies up to the type name lengths: kind, session, row count, type count.
 _BATCH_HEAD = struct.Struct("<B16sIH")
 _ID = struct.Struct("16s")
+_I64 = struct.Struct("<q")
+_U16 = struct.Struct("<H")
 
 
 def _encode_v1(session_id: SessionId, rows: Sequence[_Plain] | None) -> bytes | bytearray:
@@ -290,7 +296,11 @@ def _decode_v1(body: bytes) -> SessionId | tuple[bytes, tuple[_Plain]]:
 
 
 def _decode_v2(body: bytes) -> SessionId | tuple[bytes, list[_Plain]]:
-    """A session registration, or a batch of plain rows with its session's raw id; any malformed body is corruption."""
+    """A session registration, or a batch of plain rows with its session's raw id; any malformed body is corruption.
+
+    The rows are built in one pass over `memoryview` columns, and a parent
+    earlier in the batch is the bytes object of its own row's node.
+    """
     if body[0] != _KIND_NODE:
         return _decode_v1(body)  # a registration, or an unknown kind, reads as in v1
     try:
@@ -300,78 +310,95 @@ def _decode_v2(body: bytes) -> SessionId | tuple[bytes, list[_Plain]]:
         for size in struct.unpack_from(f"<{k}H", body, _BATCH_HEAD.size):
             types.append(_event_type(body[at : at + size].decode("utf-8")))
             at += size
-        nodes = [node for (node,) in _ID.iter_unpack(body[at : at + 16 * n])]
-        flags = body[at + 16 * n : at + 17 * n]
-        linked = flags.count(1)
-        if linked + flags.count(0) != n:
+        # Columns: node ids at `at`, parent flags at `flags`, parent ids, micros at `stamps`, type indices,
+        # payload lengths at `sizes`, then the payloads from `start` to the end of the body.
+        flags = at + 16 * n
+        linked = body.count(1, flags, flags + n)
+        stamps = flags + n + 16 * linked
+        sizes = stamps + 10 * n
+        start = sizes + 4 * n
+        if start > len(body):  # also when the flags themselves overrun it
+            raise ValueError(f"the columns of {n} rows overrun the {len(body)}-byte body")
+        if linked + body.count(0, flags, flags + n) != n:
             raise CorruptStoreError("bad parent flag")
-        at += 17 * n
-        parent_ids = iter([parent for (parent,) in _ID.iter_unpack(body[at : at + 16 * linked])])
-        at += 16 * linked
-        micros = struct.unpack_from(f"<{n}q", body, at)
-        kinds = [types[i] for i in struct.unpack_from(f"<{n}H", body, at + 8 * n)]
-        ends = list(accumulate(struct.unpack_from(f"<{n}I", body, at + 10 * n), initial=at + 14 * n))
-        if ends[-1] != len(body):
+        view = memoryview(body)
+        if start + sum(size for (size,) in _U32.iter_unpack(view[sizes:start])) != len(body):
             raise CorruptStoreError("batch record length mismatch")
-        # Every column is whole now, so each parent flag finds its id.
-        parents = [next(parent_ids) if flag else None for flag in flags]
-        payloads = [body[start:end] for start, end in zip(ends, ends[1:])]
-        return sid, list(zip(nodes, parents, micros, kinds, payloads))
+        parents = _ID.iter_unpack(view[flags + n : stamps])
+        own: dict[bytes, bytes] = {}
+        rows: list[_Plain] = []
+        for (node,), flag, (micros,), (kind,), (size,) in zip(
+            _ID.iter_unpack(view[at:flags]),
+            view[flags : flags + n],
+            _I64.iter_unpack(view[stamps : stamps + 8 * n]),
+            _U16.iter_unpack(view[stamps + 8 * n : sizes]),
+            _U32.iter_unpack(view[sizes:start]),
+        ):
+            parent = None
+            if flag:
+                (parent,) = next(parents)
+                parent = own.get(parent, parent)
+            own[node] = node
+            rows.append((node, parent, micros, types[kind], body[start : start + size]))
+            start += size
+        return sid, rows
     except (IndexError, ValueError, struct.error) as exc:
         raise CorruptStoreError(f"malformed record: {exc}") from exc
 
 
-def _frame_v1(data: bytes, offset: int) -> tuple[bytes, int] | None:
-    """The body and end of the v1 record at `offset`, or None when the log ends inside it."""
-    if offset + 4 > len(data):
+def _record_v1(stream: BinaryIO, offset: int, size: int) -> tuple[SessionId | tuple[bytes, tuple[_Plain]], int] | None:
+    """The decoded v1 record at `offset` of a `size`-byte log and its end, or None when the log ends inside it."""
+    if offset + 4 > size:
         return None
-    end = offset + 4 + _U32.unpack_from(data, offset)[0]
-    return (data[offset + 4 : end], end) if end <= len(data) else None
+    end = offset + 4 + _U32.unpack(stream.read(4))[0]
+    return (_decode_v1(stream.read(end - offset - 4)), end) if end <= size else None
 
 
-def _frame_v2(data: bytes, offset: int) -> tuple[bytes, int] | None:
-    """The checked body and end of the v2 record at `offset`, or None when the log ends inside it (a torn tail).
+def _record_v2(stream: BinaryIO, offset: int, size: int) -> tuple[SessionId | tuple[bytes, list[_Plain]], int] | None:
+    """The decoded v2 record at `offset` of a `size`-byte log and its end, or None when the log ends inside it (a torn tail).
 
-    A damaged length fails its own checksum, so it is corruption, never a torn tail.
+    Its length is trusted only once its checksum holds, and its body only
+    once the body's does: a damaged length is corruption, never a torn tail.
     """
-    if offset + 8 > len(data):
+    if offset + 8 > size:
         return None
-    size_field = data[offset : offset + 4]
-    if crc32(size_field) != _U32.unpack_from(data, offset + 4)[0]:
+    length_field = stream.read(4)
+    if crc32(length_field) != _U32.unpack(stream.read(4))[0]:
         raise CorruptStoreError("length checksum mismatch")
-    (size,) = _U32.unpack(size_field)
-    if size < 9:
-        raise CorruptStoreError(f"record length {size} is below the 9-byte minimum")
-    end = offset + 4 + size
-    if end > len(data):
+    (length,) = _U32.unpack(length_field)
+    if length < 9:
+        raise CorruptStoreError(f"record length {length} is below the 9-byte minimum")
+    end = offset + 4 + length
+    if end > size:
         return None
-    body = data[offset + 12 : end]
-    if crc32(body) != _U32.unpack_from(data, offset + 8)[0]:
+    (body_sum,) = _U32.unpack(stream.read(4))
+    body = stream.read(length - 8)
+    if crc32(body) != body_sum:
         raise CorruptStoreError("body checksum mismatch")
-    return body, end
+    return _decode_v2(body), end
 
 
-def _replay(data: bytes) -> tuple[dict[SessionId, NodeTable], int, int]:
-    """Replay a log's bytes: its tables in registration order, its complete records, and where a torn tail starts.
+def _replay(stream: BinaryIO) -> tuple[dict[SessionId, NodeTable], int, int]:
+    """Replay a seekable binary log: its tables in registration order, its complete records, and where a torn tail starts.
 
-    The magic picks the framing and the record decoder; the loop is the
-    same for both versions. Every batch goes through its table's check, so
-    a semantic violation is corruption too. Writes nothing; raises
+    The stream is read from its start, one record at a time, and no read
+    asks for more than the record it reads, so replay holds one record's
+    body beyond the tables. The magic picks the record reader; the loop is
+    the same for both versions. Every batch goes through its table's check,
+    so a semantic violation is corruption too. Writes nothing; raises
     CorruptStoreError naming the first bad record by index and byte offset.
     """
-    if data.startswith(_MAGIC):
-        frame, decode = _frame_v2, _decode_v2
-    elif data.startswith(_MAGIC_V1):
-        frame, decode = _frame_v1, _decode_v1
-    else:
+    size = stream.seek(0, io.SEEK_END)
+    stream.seek(0)
+    read = {_MAGIC: _record_v2, _MAGIC_V1: _record_v1}.get(stream.read(len(_MAGIC)))
+    if read is None:
         raise CorruptStoreError("missing store magic header")
     tables: dict[SessionId, NodeTable] = {}
     by_sid: dict[bytes, NodeTable] = {}
     index, offset = 0, len(_MAGIC)
     try:
-        while (framed := frame(data, offset)) is not None:
-            body, end = framed
-            record = decode(body)
+        while (framed := read(stream, offset, size)) is not None:
+            record, end = framed
             if isinstance(record, SessionId):
                 if record in tables:
                     raise DuplicateSessionError(f"session {record.hex} is already registered")
@@ -388,6 +415,7 @@ def _replay(data: bytes) -> tuple[dict[SessionId, NodeTable], int, int]:
     return tables, index, offset
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class OpenReport:
     """What opening a `FileStore` found and did.
@@ -414,7 +442,8 @@ def _open_log(path: Path):
 class FileStore(MemoryStore):
     """Single-file append log behind the in-memory store.
 
-    Opening an existing file replays every complete record through the
+    Opening an existing file reads it one record at a time, holding one
+    record beyond the tables, and replays every complete record through the
     node-table check of an append, so a semantic violation surfaces as
     corruption named by record index and byte offset (and logged as an
     error on the `cteg` logger); a torn tail is cut off (and logged as a
@@ -431,25 +460,30 @@ class FileStore(MemoryStore):
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
         super().__init__(payload_cap)
         self._path = Path(path)
-        data = self._path.read_bytes() if self._path.exists() else b""
-        if len(data) < len(_MAGIC) and _MAGIC.startswith(data):
-            # A crash while the log was being created leaves it empty or cut in its header.
-            self._path.write_bytes(_MAGIC)
-            self._open_report = OpenReport(0, 0, 0, True)
-        else:
-            try:
-                self._tables, records, end = _replay(data)
-            except CorruptStoreError as exc:
-                if exc.record is not None:
-                    _logger.error("store.corrupt_record path=%s record=%d offset=%d reason=%s", self._path, exc.record, exc.offset, exc.reason)
-                raise
-            torn = len(data) - end
-            if torn:
-                with open(self._path, "r+b") as fh:
-                    fh.truncate(end)
-                _logger.warning("store.torn_tail_cut path=%s offset=%d bytes=%d records=%d", self._path, end, torn, records)
-            self._open_report = OpenReport(records, len(self._tables), torn, False)
-        self._encode = _encode_v1 if data.startswith(_MAGIC_V1) else _encode_v2
+        try:
+            log = open(self._path, "rb")
+        except FileNotFoundError:
+            log = io.BytesIO()  # a missing log reads as an empty one
+        with log:
+            magic = log.read(len(_MAGIC))
+            if len(magic) < len(_MAGIC) and _MAGIC.startswith(magic):
+                # A crash while the log was being created leaves it empty or cut in its header.
+                self._path.write_bytes(_MAGIC)
+                self._open_report = OpenReport(0, 0, 0, True)
+            else:
+                try:
+                    self._tables, records, end = _replay(log)
+                except CorruptStoreError as exc:
+                    if exc.record is not None:
+                        _logger.error("store.corrupt_record path=%s record=%d offset=%d reason=%s", self._path, exc.record, exc.offset, exc.reason)
+                    raise
+                torn = os.fstat(log.fileno()).st_size - end
+                if torn:
+                    with open(self._path, "r+b") as fh:
+                        fh.truncate(end)
+                    _logger.warning("store.torn_tail_cut path=%s offset=%d bytes=%d records=%d", self._path, end, torn, records)
+                self._open_report = OpenReport(records, len(self._tables), torn, False)
+        self._encode = _encode_v1 if magic == _MAGIC_V1 else _encode_v2
         self._log = _open_log(self._path)
 
     @property
@@ -528,8 +562,12 @@ def _parse_id(field: str, what: str, lineno: int) -> bytes:
         raise TraceFormatError(f"bad {what} on line {lineno} {field!r}: {exc}") from exc
 
 
-def _parse_rows(data: bytes) -> tuple[list[_Plain], set[bytes], SessionId]:
-    """The text's plain node rows in file order, at least one, their ids and the session id; each line is checked on its own."""
+def _parse_rows(data: bytes) -> tuple[list[_Plain], dict[bytes, bytes], SessionId]:
+    """The text's plain node rows in file order, at least one, their ids and the session id; each line is checked on its own.
+
+    The ids map each node id to its row's own bytes, so a row whose parent
+    came earlier, as in canonical text, shares that object as its parent.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -545,7 +583,7 @@ def _parse_rows(data: bytes) -> tuple[list[_Plain], set[bytes], SessionId]:
     session = SessionId(_parse_id(header[len(_HEADER_PREFIX) :], "session id", 1))
 
     rows: list[_Plain] = []
-    seen: set[bytes] = set()
+    seen: dict[bytes, bytes] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != 5:
@@ -555,6 +593,7 @@ def _parse_rows(data: bytes) -> tuple[list[_Plain], set[bytes], SessionId]:
         if node in seen:
             raise TraceFormatError(f"line {lineno}: duplicate node id {node.hex()}")
         parent = None if parent_field == "-" else _parse_id(parent_field, "parent id", lineno)
+        parent = seen.get(parent, parent)
         try:
             micros = _micros(int(ts_field))
             if str(micros) != ts_field:  # `int` also takes signs, spaces, underscores and leading zeros
@@ -569,14 +608,14 @@ def _parse_rows(data: bytes) -> tuple[list[_Plain], set[bytes], SessionId]:
             payload = base64.b64decode(payload_field.encode("ascii"), validate=True)
         except (ValueError, UnicodeEncodeError) as exc:
             raise TraceFormatError(f"line {lineno}: bad base64 payload: {exc}") from exc
-        seen.add(node)
+        seen[node] = node
         rows.append((node, parent, micros, event_type, payload))
     if not rows:
         raise TraceFormatError("trace has a header but no node rows")
     return rows, seen, session
 
 
-def _graph_of(rows: list[_Plain], seen: set[bytes]) -> tuple[TypedTemporalGraph, ActionId]:
+def _graph_of(rows: list[_Plain], seen: dict[bytes, bytes]) -> tuple[TypedTemporalGraph, ActionId]:
     """The plain rows' unvalidated graph and root candidate, once the rows can represent one."""
     roots = [node for node, parent, *_ in rows if parent is None]
     if not roots:

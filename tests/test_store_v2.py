@@ -23,6 +23,7 @@ Covered claims:
       reopening it leaves the file's bytes as they were
 """
 
+import io
 import logging
 import struct
 import zlib
@@ -202,7 +203,7 @@ class TestCrashPrefixes:
         monkeypatch.setattr(persistence, "open", refuse, raising=False)
         monkeypatch.setattr(persistence, "os", None)
         for cut in range(len(MAGIC), len(data) + 1):
-            tables, records, end = _replay(data[:cut])
+            tables, records, end = _replay(io.BytesIO(data[:cut]))
             complete = [b for b in boundaries if b <= cut]
             assert (records, end) == (len(complete) - 1, complete[-1])
             assert list(tables) == [s for s, k in ((sid(1), 1), (sid(2), 3)) if records >= k]
@@ -440,6 +441,6 @@ def test_every_cut_of_a_script_reopens_to_its_whole_batches(tmp_path_factory, sc
                         reopened.load_session(s)
             reopened.register_session(sid(50))
             reopened.append_rows(sid(50), [row(50, None, 0)])
-        tables, replayed, end = _replay(path.read_bytes())
+        tables, replayed, end = _replay(io.BytesIO(path.read_bytes()))
         assert (replayed, end) == (records + 2, len(path.read_bytes()))
         assert [len(t.rows) for t in tables.values()] == [len(c[-1]) if c else 0 for c in expected.values()] + [1]

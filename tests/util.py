@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 import struct
-from itertools import combinations, permutations, product
+from binascii import crc32
+from itertools import accumulate, combinations, permutations, product
 from typing import AbstractSet, Iterable, Mapping
 from unittest import mock
 
@@ -25,6 +26,7 @@ from cteg import (
     EventType,
     ExecutionSequence,
     Invocation,
+    SessionId,
     Timestamp,
     TypedTemporalGraph,
     UniverseBounds,
@@ -33,9 +35,22 @@ from cteg import (
     apply_emission,
     temporal_projection,
 )
-from cteg.core import graft, graph_text
+from cteg.core import NodeTable, StoreError, graft, graph_text
 from cteg.dynamics import StepLabel, _Budget, _seq_sort_key
-from cteg.persistence import parse_trace
+from cteg.persistence import (
+    _BATCH_HEAD,
+    _ID,
+    _KIND_NODE,
+    _MAGIC,
+    _MAGIC_V1,
+    _U32,
+    CorruptStoreError,
+    DuplicateSessionError,
+    UnknownSessionError,
+    _decode_v1,
+    _event_type,
+    parse_trace,
+)
 
 
 def aid(i: int) -> ActionId:
@@ -610,6 +625,98 @@ def record_boundaries(data: bytes, magic_len: int) -> list[int]:
         pos += 4 + length
         offsets.append(pos)
     return offsets
+
+
+# ---------------------------------------------------------------------------
+# Reference replay: the store log replayed as it was before it was streamed.
+# It takes the whole file's bytes, copies each record's body out of them and
+# decodes a batch column by column into whole-batch lists.
+
+
+def _reference_decode_v2(body: bytes):
+    if body[0] != _KIND_NODE:
+        return _decode_v1(body)
+    try:
+        _, sid, n, k = _BATCH_HEAD.unpack_from(body)
+        at = _BATCH_HEAD.size + 2 * k
+        types = []
+        for size in struct.unpack_from(f"<{k}H", body, _BATCH_HEAD.size):
+            types.append(_event_type(body[at : at + size].decode("utf-8")))
+            at += size
+        nodes = [node for (node,) in _ID.iter_unpack(body[at : at + 16 * n])]
+        flags = body[at + 16 * n : at + 17 * n]
+        linked = flags.count(1)
+        if linked + flags.count(0) != n:
+            raise CorruptStoreError("bad parent flag")
+        at += 17 * n
+        parent_ids = iter([parent for (parent,) in _ID.iter_unpack(body[at : at + 16 * linked])])
+        at += 16 * linked
+        micros = struct.unpack_from(f"<{n}q", body, at)
+        kinds = [types[i] for i in struct.unpack_from(f"<{n}H", body, at + 8 * n)]
+        ends = list(accumulate(struct.unpack_from(f"<{n}I", body, at + 10 * n), initial=at + 14 * n))
+        if ends[-1] != len(body):
+            raise CorruptStoreError("batch record length mismatch")
+        parents = [next(parent_ids) if flag else None for flag in flags]
+        payloads = [body[start:end] for start, end in zip(ends, ends[1:])]
+        return sid, list(zip(nodes, parents, micros, kinds, payloads))
+    except (IndexError, ValueError, struct.error) as exc:
+        raise CorruptStoreError(f"malformed record: {exc}") from exc
+
+
+def _reference_frame_v1(data: bytes, offset: int):
+    if offset + 4 > len(data):
+        return None
+    end = offset + 4 + _U32.unpack_from(data, offset)[0]
+    return (data[offset + 4 : end], end) if end <= len(data) else None
+
+
+def _reference_frame_v2(data: bytes, offset: int):
+    if offset + 8 > len(data):
+        return None
+    size_field = data[offset : offset + 4]
+    if crc32(size_field) != _U32.unpack_from(data, offset + 4)[0]:
+        raise CorruptStoreError("length checksum mismatch")
+    (size,) = _U32.unpack(size_field)
+    if size < 9:
+        raise CorruptStoreError(f"record length {size} is below the 9-byte minimum")
+    end = offset + 4 + size
+    if end > len(data):
+        return None
+    body = data[offset + 12 : end]
+    if crc32(body) != _U32.unpack_from(data, offset + 8)[0]:
+        raise CorruptStoreError("body checksum mismatch")
+    return body, end
+
+
+def reference_replay(data: bytes) -> tuple[dict[SessionId, NodeTable], int, int]:
+    """A log's tables in registration order, its complete records and where a torn tail starts, from its whole bytes."""
+    if data.startswith(_MAGIC):
+        frame, decode = _reference_frame_v2, _reference_decode_v2
+    elif data.startswith(_MAGIC_V1):
+        frame, decode = _reference_frame_v1, _decode_v1
+    else:
+        raise CorruptStoreError("missing store magic header")
+    tables: dict[SessionId, NodeTable] = {}
+    by_sid: dict[bytes, NodeTable] = {}
+    index, offset = 0, len(_MAGIC)
+    try:
+        while (framed := frame(data, offset)) is not None:
+            body, end = framed
+            record = decode(body)
+            if isinstance(record, SessionId):
+                if record in tables:
+                    raise DuplicateSessionError(f"session {record.hex} is already registered")
+                tables[record] = by_sid[record.value] = NodeTable()
+            else:
+                sid, rows = record
+                table = by_sid.get(sid)
+                if table is None:
+                    raise UnknownSessionError(f"session {sid.hex()} is not registered")
+                table.append(rows)
+            index, offset = index + 1, end
+    except StoreError as exc:
+        raise CorruptStoreError(str(exc), index, offset) from exc
+    return tables, index, offset
 
 
 # ---------------------------------------------------------------------------
