@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby, islice, permutations, product, repeat
+from itertools import combinations_with_replacement, groupby, permutations, product, repeat
 from operator import attrgetter, eq, itemgetter, le
 from typing import AbstractSet, NamedTuple
 
@@ -51,7 +51,6 @@ from .core import (
     ValidationFailedError,
     Violation,
     _frozen,
-    _ids,
     _new,
     _objects,
     _Plain,
@@ -132,25 +131,8 @@ class Invocation:
         if final.in_degree(self.attach) != 0:
             raise AttachPointError(f"attach node {self.attach.hex} does not have in-degree zero")
 
-    @classmethod
-    def _proved(cls, root: ActionId, subtrace: "ExecutionSequence", attach: ActionId) -> "Invocation":
-        """A label whose attach node is known valid, as a settled child's root is; its final graph is not built."""
-        return _new(cls, root, subtrace, attach)
-
 
 StepLabel = Emission | Invocation
-
-
-class _Lane:
-    """A graph's hash in the graph's place: a tuple of lanes hashes as the tuple of the graphs."""
-
-    __slots__ = ("h",)
-
-    def __init__(self, h: int) -> None:
-        self.h = h
-
-    def __hash__(self) -> int:
-        return self.h
 
 
 class _Prefixes(Sequence):
@@ -159,9 +141,9 @@ class _Prefixes(Sequence):
     Graph `k` is that of the plain rows `rows[:marks[k]]` under `type_set`,
     or under the types in use when it is None. Slices are views of the same
     rows, and no built graph is kept. A view equals any tuple or view of
-    equal graphs and hashes as the tuple of its graphs. Two views with the
-    same kind of type set and nondecreasing marks are compared from their
-    rows alone: equal declared sets, and equal row sets between marks.
+    equal graphs and is unhashable. Two views with the same kind of type
+    set and nondecreasing marks are compared from their rows alone: equal
+    declared sets, and equal row sets between marks.
     """
 
     __slots__ = ("rows", "marks", "type_set")
@@ -196,8 +178,38 @@ class _Prefixes(Sequence):
         marks = self.marks
         return all(map(le, (0, *marks), (*marks, len(self.rows))))
 
-    def __hash__(self) -> int:
-        return hash(tuple(map(_Lane, map(hash, self))))
+
+class _Steps(Sequence):
+    """The step labels of a row-backed execution sequence, each built only when asked.
+
+    Label `k` is read from the rows between marks `k` and `k + 1`: the graft
+    of `grafts[k]`, a child's history rooted at the first of them, or else
+    the emission of them all under one parent. Slices are tuples; a view
+    equals any tuple or view of equal labels.
+    """
+
+    __slots__ = ("rows", "marks", "grafts")
+
+    def __init__(self, rows: Sequence[_Plain], marks: Sequence[int], grafts: Mapping[int, ExecutionSequence]) -> None:
+        self.rows, self.marks, self.grafts = rows, marks, grafts
+
+    def __len__(self) -> int:
+        return len(self.marks) - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]
+        rows, lo, sub = self.rows, self.marks[k], self.grafts.get(k)
+        if sub is not None:
+            return _new(Invocation, ActionId(rows[lo][1]), sub, ActionId(rows[lo][0]))
+        emitted = frozenset(map(ActionId, map(itemgetter(0), rows[lo : self.marks[k + 1]])))
+        return _new(Emission, ActionId(rows[lo][1]), emitted)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Steps)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @_frozen
@@ -208,28 +220,28 @@ class ExecutionSequence:
     Extension means every node, edge, timestamp, type and payload survives
     into the next graph. `steps` optionally carries one label per extension
     as a witness of how it was made; witness-free chains pass `steps=None`.
-    Equality and hashing consider the graph chain only, so two sequences
-    that built the same chain by differently labelled moves are the same
-    element of the sequence space. The hash is computed on first use and
-    then cached.
+    Equality considers the graph chain only, so two sequences that built
+    the same chain by differently labelled moves are the same element of
+    the sequence space. Equal chains have equal lengths and final graphs,
+    so the hash is that of the pair, computed on first use and then cached.
 
-    A sequence has one of two forms, and `graphs` is a sequence of graphs
-    in both, but a tuple only in the first:
+    A sequence has one of two forms; `graphs` and `steps` are tuples only
+    in the first:
 
-    - graph-backed: `graphs` is a tuple holding every graph. The public
-      constructor builds this form and proves extension pair by pair; `phi`
-      builds it through `_chain`, without the proof, from injectively
-      renamed checked chains.
+    - graph-backed, every graph held: the public constructor proves
+      extension pair by pair; `phi` builds it through `_chain`, without
+      the proof, from injectively renamed checked chains.
     - row-backed: one shared list of plain node-table rows, one mark (a
       row count) per state, and an optional declared type set (`_rows`),
       built by `Session.history` and `e0_normalize`. A prefix of one row
       list extends every shorter prefix, so nothing is proved. Indexing,
-      slicing, iteration and `final` build each graph they return and keep
-      none. It equals, and hashes as, its graph-backed copy.
+      slicing and iteration of `graphs` and `steps`, and `final`, build
+      each graph or label they return and keep none. It equals, and hashes
+      as, its graph-backed copy.
     """
 
     graphs: Sequence[TypedTemporalGraph]
-    steps: tuple[StepLabel, ...] | None = None
+    steps: Sequence[StepLabel] | None = None
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -248,7 +260,7 @@ class ExecutionSequence:
         object.__setattr__(self, "steps", steps)
 
     @classmethod
-    def _chain(cls, graphs: Sequence[TypedTemporalGraph], steps: tuple[StepLabel, ...] | None):
+    def _chain(cls, graphs: Sequence[TypedTemporalGraph], steps: Sequence[StepLabel] | None):
         """A chain that extends by construction, built without the per-pair proof."""
         return _new(cls, graphs, steps, None)
 
@@ -256,7 +268,7 @@ class ExecutionSequence:
         return (ExecutionSequence._chain, (self.graphs, self.steps))
 
     @classmethod
-    def _rows(cls, rows: Sequence[_Plain], marks: Sequence[int], steps: tuple[StepLabel, ...] | None, type_set=None):
+    def _rows(cls, rows: Sequence[_Plain], marks: Sequence[int], steps: Sequence[StepLabel] | None, type_set=None):
         """The row-backed chain of the graphs of the plain rows `rows[:m]` and `type_set`, one per mark `m`."""
         return cls._chain(_Prefixes(rows, marks, type_set), steps)
 
@@ -275,7 +287,7 @@ class ExecutionSequence:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.graphs)
+            h = hash((len(self.graphs), self.final))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -444,11 +456,10 @@ def e0_normalize(c: Cteg) -> ExecutionSequence:
     from its unique parent. The sequence therefore has exactly as many graphs
     as `c` has nodes: the prefixes of `projection_rows(c)`, each declaring
     the type set of `c`. It is row-backed (see `ExecutionSequence`) over the
-    trace's own rows, and its labels hold one id object per node.
+    trace's own rows, and builds each label only when it is read.
     """
-    rows = c._rows
-    steps = tuple(Emission(parent, frozenset({node})) for node, parent in islice(_ids(rows), 1, None))
-    return ExecutionSequence._rows(rows, range(1, len(rows) + 1), steps, c._types)
+    rows, marks = c._rows, range(1, len(c._rows) + 1)
+    return ExecutionSequence._rows(rows, marks, _Steps(rows, marks, {}), c._types)
 
 
 def replicate_as_e0_invocation(step: Invocation) -> Invocation:

@@ -19,7 +19,7 @@ the stores keep too, so an emit or a graft costs what it adds: the table
 checks each batch row by row and each graft by its one new edge, and no
 step re-validates the whole trace. Beside the rows a session keeps one
 mark (a row count) per state and each grafted child, nothing per emit;
-`history` reads its states and labels from them.
+`history` builds its states and labels from them only when one is read.
 
 Each session is single-writer: all public operations serialize on an
 internal lock, grafts are atomic with respect to snapshots, and distinct
@@ -32,7 +32,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 from threading import RLock
 from typing import Callable, Sequence
 
@@ -46,12 +45,7 @@ from .core import (
     _micros,
     _OpaqueId,
 )
-from .dynamics import (
-    Emission,
-    EmptyEmissionError,
-    ExecutionSequence,
-    Invocation,
-)
+from .dynamics import EmptyEmissionError, ExecutionSequence, _Steps
 
 __all__ = [
     "InactiveSessionError",
@@ -179,20 +173,14 @@ class Session:
 
         Row-backed (see `ExecutionSequence`): it shares the table's rows,
         which only grow, so it costs memory linear in the trace. Graph `k`
-        declares the types in use in state `k`. Step `k` added the rows
-        between marks `k` and `k + 1`: an emission under their one parent,
-        or a graft whose first row hangs the child's root, the label's
-        attach node, under the invocation node.
+        declares the types in use in state `k`. Label `k` is built when read,
+        from the rows between marks `k` and `k + 1` and the child settled
+        at step `k`, if any.
         """
         with self._lock:
-            rows, marks, grafts = self._table.rows, self._marks, self._grafts
-            labels = tuple(
-                Invocation._proved(ActionId(rows[lo][1]), grafts[k].history(), ActionId(rows[lo][0]))
-                if k in grafts
-                else Emission(ActionId(rows[lo][1]), frozenset(map(ActionId, map(itemgetter(0), rows[lo:hi]))))
-                for k, (lo, hi) in enumerate(zip(marks, marks[1:]))
-            )
-            return ExecutionSequence._rows(rows, tuple(marks), labels)
+            rows, marks = self._table.rows, tuple(self._marks)
+            grafts = {k: child.history() for k, child in self._grafts.items()}
+            return ExecutionSequence._rows(rows, marks, _Steps(rows, marks, grafts))
 
     def emit(self, parent: ActionId, events: Sequence[tuple[EventType, bytes]]) -> list[ActionId]:
         """Add one batch of typed events as children of `parent`.

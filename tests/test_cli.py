@@ -304,18 +304,38 @@ class TestOracle:
         assert run(capsys, "oracle", *argv) == expected
 
     def test_budget_exhaustion_on_the_fixed_point_check_exits_three(self, capsys, monkeypatch):
-        # At these bounds the check costs what the last level did, so one more call of `phi` is cut short.
+        # E2 is made one sequence larger than E1, so the fixed point is checked by one more call of `phi`, cut short.
+        extra = ExecutionSequence((TypedTemporalGraph.trivial(ActionId.from_int(99), Timestamp(0), EventType("evt")),), ())
         calls = []
 
         def levels_then_one_state(current, bounds, budget):
             calls.append(current)
-            return phi(current, bounds, budget=1 if len(calls) > 3 else budget)
+            level = phi(current, bounds, budget=1 if len(calls) > 3 else budget)
+            return level | {extra} if len(calls) == 3 else level
 
         monkeypatch.setattr(cli, "phi", levels_then_one_state)
         code, out, err = run(capsys, "oracle", "--actions", "3", "--timestamps", "3", "--max-len", "2", "--d-max", "2")
         assert code == EXIT_BUDGET and len(calls) == 4
-        assert out.splitlines()[-1] == "assert E1 == E2: ok"
+        assert out.splitlines()[-1] == "assert E1 == E2: FAIL"
         assert err == "budget exceeded while checking the fixed point\n"
+
+    @pytest.mark.parametrize("grows", [False, True], ids=["stable", "growing"])
+    def test_the_fixed_point_check_calls_phi_only_when_the_levels_differ(self, capsys, monkeypatch, grows):
+        # Equal last levels are a fixed point already; a patched `phi` that keeps growing needs one more call.
+        calls = []
+
+        def counted(current, bounds, budget):
+            calls.append(current)
+            return current | {len(calls)} if grows else phi(current, bounds, budget=budget)
+
+        monkeypatch.setattr(cli, "phi", counted)
+        d_max = 3
+        code, out, _ = run(capsys, "oracle", "--actions", "3", "--timestamps", "3", "--max-len", "2", "--d-max", str(d_max))
+        assert len(calls) == d_max + 1 + grows
+        assert out.splitlines()[-2:] == (
+            ["assert E2 == E3: FAIL", "assert phi(S) == S: FAIL"] if grows else ["assert E2 == E3: ok", "assert phi(S) == S: ok"]
+        )
+        assert code == (EXIT_INVALID if grows else EXIT_OK)
 
 
     def test_a_failed_assertion_prints_fail_and_exits_one(self, capsys, monkeypatch):

@@ -57,6 +57,7 @@ from cteg import (
     validate_cteg,
     verify_commitment,
 )
+from cteg.core import _new
 from util import aid, counting_subgraph_proofs, ty
 
 
@@ -431,7 +432,7 @@ class TestRowsAgainstReference:
 
     def test_emit_builds_no_label_and_history_reads_the_labels_from_the_rows(self):
         s = quiet_session(5)
-        with mock.patch("cteg.session.Emission", mock.Mock(wraps=Emission)) as spy:
+        with mock.patch("cteg.dynamics._new", mock.Mock(wraps=_new)) as spy:
             (a,) = s.emit(s.root, [(ty("a"), b"")])
             handle, child = s.invoke_subagent(a, ty("sub"))
             (b,) = child.emit(child.root, [(ty("b"), b"")])

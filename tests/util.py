@@ -8,6 +8,7 @@ they are used to test.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import struct
 from binascii import crc32
@@ -35,6 +36,7 @@ from cteg import (
     apply_emission,
     temporal_projection,
 )
+from cteg import dynamics
 from cteg.core import NodeTable, StoreError, graft, graph_text
 from cteg.dynamics import StepLabel, _Budget, _seq_sort_key
 from cteg.persistence import (
@@ -538,6 +540,29 @@ def reference_e0_normalize(c: Cteg) -> ExecutionSequence:
     return ExecutionSequence(tuple(graphs), tuple(steps))
 
 
+def reference_history_steps(session) -> tuple[StepLabel, ...]:
+    """The step labels of `session.history()`, built eagerly from the session's rows, marks and settled children.
+
+    Step `k` added the rows between marks `k` and `k + 1`: an emission of
+    them all under their one parent, or the graft of the child settled at
+    step `k`, whose root heads those rows and hangs under the invocation
+    node. Labels go through their checked constructors, and a graft's
+    subtrace is the child's row-backed history carrying its own labels
+    built the same way.
+    """
+    rows, marks, grafts = session._table.rows, session._marks, session._grafts
+    labels = []
+    for k, (lo, hi) in enumerate(zip(marks, marks[1:])):
+        root = ActionId(rows[lo][1])
+        child = grafts.get(k)
+        if child is None:
+            labels.append(Emission(root, frozenset(ActionId(row[0]) for row in rows[lo:hi])))
+        else:
+            sub = ExecutionSequence._rows(child._table.rows, tuple(child._marks), reference_history_steps(child))
+            labels.append(Invocation(root, sub, ActionId(rows[lo][0])))
+    return tuple(labels)
+
+
 def chain_text(seq: ExecutionSequence) -> str:
     return " -> ".join(graph_text(g) for g in seq.graphs)
 
@@ -608,6 +633,40 @@ def counting_graphs():
         TypedTemporalGraph, __post_init__=counting, _unchecked=classmethod(counting_unchecked)
     )
     return built, patch
+
+
+def counting_labels():
+    """A list and a patch that appends the class of every `ActionId`, `Emission` and `Invocation` built, checked or not."""
+    built = []
+    init, new = ActionId.__init__, dynamics._new
+    checks = {cls: cls.__post_init__ for cls in (Emission, Invocation)}
+
+    def counting_init(self, value):
+        built.append(ActionId)
+        init(self, value)
+
+    def counting_new(cls, *values):
+        if cls in checks:
+            built.append(cls)
+        return new(cls, *values)
+
+    def counting_check(cls):
+        def check(self):
+            built.append(cls)
+            checks[cls](self)
+
+        return check
+
+    @contextlib.contextmanager
+    def patch():
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(ActionId, "__init__", counting_init))
+            stack.enter_context(mock.patch.object(dynamics, "_new", counting_new))
+            for cls in checks:
+                stack.enter_context(mock.patch.object(cls, "__post_init__", counting_check(cls)))
+            yield
+
+    return built, patch()
 
 
 # ---------------------------------------------------------------------------
