@@ -24,7 +24,9 @@ On top of the step semantics this module provides:
   one is strictly richer than depth zero, that the chain stabilises, and
   that the stable set is a fixed point. Renaming node ids maps every level
   onto itself, so `phi` grows one representative per orbit under renaming
-  and expands the orbits into their members at the end.
+  and expands the orbits into their members at the end. Given back a level
+  it returned, `phi` expands only the orbits derived differently from the
+  level's and reuses the level's members for the rest.
 """
 
 from __future__ import annotations
@@ -222,8 +224,10 @@ class ExecutionSequence:
     as a witness of how it was made; witness-free chains pass `steps=None`.
     Equality considers the graph chain only, so two sequences that built
     the same chain by differently labelled moves are the same element of
-    the sequence space. Equal chains have equal lengths and final graphs,
-    so the hash is that of the pair, computed on first use and then cached.
+    the sequence space. Equal chains have equal lengths, final graphs and
+    ids added by the last step (all ids of a one-graph chain), so the hash
+    is that of the three, computed on first use and then cached; an id
+    hashes as its bytes, so both forms below hash alike.
 
     A sequence has one of two forms; `graphs` and `steps` are tuples only
     in the first:
@@ -287,7 +291,13 @@ class ExecutionSequence:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((len(self.graphs), self.final))
+            graphs = self.graphs
+            if isinstance(graphs, _Prefixes):
+                marks = graphs.marks
+                added = frozenset(map(itemgetter(0), graphs.rows[marks[-2] if len(marks) > 1 else 0 : marks[-1]]))
+            else:
+                added = graphs[-1].nodes - graphs[-2].nodes if len(graphs) > 1 else graphs[-1].nodes
+            h = hash((len(graphs), graphs[-1], added))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -644,9 +654,10 @@ def _rename_chain(seq: ExecutionSequence, m: Mapping[ActionId, ActionId]) -> Exe
 # label onto another; only timestamps carry order. So `phi` grows one
 # representative per orbit of sequences under renaming, charges the budget
 # per orbit by orbit-stabiliser counts, and expands the orbits into their
-# members at the end. A representative numbers its nodes 0..k-1 in order of
-# appearance, so its prefix is its parent's representative under the same
-# numbering. A node column is `(Timestamp, EventType, payload)`.
+# members at the end, reusing those of a pool level (`_Level`) for every
+# orbit derived as one of its own. A representative numbers its nodes 0..k-1
+# in order of appearance, so its prefix is its parent's representative under
+# the same numbering. A node column is `(Timestamp, EventType, payload)`.
 
 
 def _least(cols, edges: Sequence[tuple[int, int]], nodes: Iterable[int], fixed=((),)):
@@ -701,6 +712,22 @@ class _Class(NamedTuple):
     aut: list[tuple[int, ...]]
 
 
+def _usable(seq: ExecutionSequence, bounds: UniverseBounds, stamps: AbstractSet[Timestamp]) -> tuple[tuple, _Class] | None:
+    """The class key of the final of `seq` and its class with `seq` as `rep`, or None when the final is not usable."""
+    f = seq.final
+    k = len(f.nodes)
+    if k < len(bounds.actions) and set(f.t.values()) <= stamps and set(f.tau.values()) <= bounds.types:
+        src = tuple(sorted(f.nodes, key=attrgetter("value")))
+        index = {node: j for j, node in enumerate(src)}
+        cols = tuple((f.t[node], f.tau[node], f.payloads[node]) for node in src)
+        edges = tuple((index[a], index[b]) for a, b in f.edges)
+        zero_in = tuple(sorted(set(range(k)) - {b for _a, b in edges}))
+        if zero_in:
+            form, hits = _least(cols, edges, range(k))
+            return (*form, f.type_set), _Class(seq, src, cols, edges, f.type_set, zero_in, _automorphisms(hits))
+    return None
+
+
 def _graft_classes(pool: Iterable[ExecutionSequence], bounds: UniverseBounds, budget: _Budget) -> list[_Class]:
     """The usable pool finals, grouped by isomorphism class, classes in order of their `rep`.
 
@@ -716,24 +743,75 @@ def _graft_classes(pool: Iterable[ExecutionSequence], bounds: UniverseBounds, bu
     for seq in pool:
         f = seq.final
         if f not in local:
-            local[f] = None
-            k = len(f.nodes)
-            if k < n and set(f.t.values()) <= stamps and set(f.tau.values()) <= bounds.types:
-                src = tuple(sorted(f.nodes, key=attrgetter("value")))
-                index = {node: j for j, node in enumerate(src)}
-                cols = tuple((f.t[node], f.tau[node], f.payloads[node]) for node in src)
-                edges = tuple((index[a], index[b]) for a, b in f.edges)
-                zero_in = tuple(sorted(set(range(k)) - {b for _a, b in edges}))
-                if zero_in:
-                    form, hits = _least(cols, edges, range(k))
-                    local[f] = ((*form, f.type_set), _Class(seq, src, cols, edges, f.type_set, zero_in, _automorphisms(hits)))
-                    budget.spend(math.perm(n, k))
+            local[f] = _usable(seq, bounds, stamps)
+            if local[f] is not None:
+                budget.spend(math.perm(n, len(f.nodes)))
         if local[f] is not None:
             key, c = local[f]
             sort_key = _seq_sort_key(seq)
             if key not in best or sort_key < best[key][0]:
                 best[key] = (sort_key, c._replace(rep=seq))
     return [c for _sort_key, c in sorted(best.values(), key=itemgetter(0))]
+
+
+def _level_classes(level: _Level, budget: _Budget) -> list[_Class]:
+    """`_graft_classes` of a level under its own bounds, read from its orbits without a member scan.
+
+    Every final of a level is usable, and the level holds every renaming of
+    each, so the finals of one final form number `perm(n, k) / |Aut|`, each
+    charged `perm(n, k)`. A class's `rep` is the least of the least members
+    of its orbits (`_least_member`).
+    """
+    bounds = level.bounds
+    n = len(bounds.actions)
+    best: dict[tuple, tuple[tuple, ExecutionSequence]] = {}
+    for s, kept in level.members.items():
+        if s.k < n:
+            if s.form not in best:
+                budget.spend(math.perm(n, s.k) // len(s.orders) * math.perm(n, s.k))
+            key, m = _least_member(s)
+            if s.form not in best or key < best[s.form][0]:
+                best[s.form] = (key, kept[m])
+    stamps = set(bounds.timestamps)
+    return [_usable(rep, bounds, stamps)[1] for _key, rep in sorted(best.values(), key=itemgetter(0))]
+
+
+def _least_member(s: _Orbit) -> tuple[tuple, tuple[int, ...]]:
+    """The `_seq_sort_key` of the least member of `s`, with action indices for ids, and its image as `_members` keys it.
+
+    A graph's sorted ids lead its key, so the least member gives each
+    step's new nodes the next-smallest ids; only the orders inside those
+    blocks are compared, graph by graph, keeping the ties.
+    """
+    chain = []
+    while s is not None:
+        chain.append(s)
+        s = s.parent
+    keys, images, lo = [], [()], 0
+    for t in reversed(chain):
+        scored = [(_index_key(t, m), m) for m in (m + p for m in images for p in permutations(range(lo, t.k)))]
+        least = min(key for key, _m in scored)
+        keys.append(least)
+        images, lo = [m for key, m in scored if key == least], t.k
+    m = images[0]
+    return tuple(keys), min(a(m) for a in _permuters(chain[0].aut))
+
+
+def _index_key(s: _Orbit, m: tuple[int, ...]) -> tuple:
+    """The canonical key of the final of `s` renamed by the image `m`, with action indices for ids.
+
+    Indices order as the ids they stand for, so these keys order as the
+    graphs' own; the ids themselves are `range(k)`, given by `k`.
+    """
+    cols = [s.cols[x] for x in sorted(range(s.k), key=m.__getitem__)]
+    return (
+        s.k,
+        tuple(sorted((m[a], m[b]) for a, b in s.edges)),
+        tuple(col[0].micros for col in cols),
+        tuple(col[1].name for col in cols),
+        tuple(sorted(ty.name for ty in s.type_set)),
+        tuple(col[2] for col in cols),
+    )
 
 
 class _Orbit:
@@ -818,8 +896,10 @@ def _permuters(perms: Iterable[Sequence[int]]) -> list:
     return [itemgetter(*p) if len(p) > 1 else (lambda m, x=p[0]: (m[x],)) for p in perms]
 
 
-def _members(orbits: list[_Orbit], bounds: UniverseBounds) -> list[ExecutionSequence]:
-    """Every member of every orbit, each distinct graph and step label built once.
+def _members(
+    orbits: list[_Orbit], bounds: UniverseBounds, reused: Mapping[_Orbit, dict[tuple[int, ...], ExecutionSequence]]
+) -> dict[_Orbit, dict[tuple[int, ...], ExecutionSequence]]:
+    """Every member of every orbit, by orbit and image, each distinct graph and step label built once.
 
     A member renames node `x` of the representative to `actions[m[x]]` for
     an injective image `m`. Images that differ by an automorphism give the
@@ -828,16 +908,20 @@ def _members(orbits: list[_Orbit], bounds: UniverseBounds) -> list[ExecutionSequ
     its form and its ids in the form's order, least over the form's
     orderings. A graft's subtrace is the class's `rep` renamed by the least
     id tuple that carries its final onto the candidate: the renaming that an
-    enumeration of renamings in order meets first.
+    enumeration of renamings in order meets first. An orbit in `reused`
+    takes the members given there and builds none.
     """
     actions = bounds.actions
     graphs: dict[tuple, dict[tuple[int, ...], TypedTemporalGraph]] = {}
     labels: dict[tuple, StepLabel] = {}
     subtraces: dict[tuple, ExecutionSequence] = {}
-    members: dict[_Orbit, dict[tuple[int, ...], ExecutionSequence] | None] = {}
-    parents = {s.parent for s in orbits}
-    out = []
+    members: dict[_Orbit, dict[tuple[int, ...], ExecutionSequence]] = {}
     for s in orbits:
+        kept = reused.get(s)
+        if kept is not None:
+            members[s] = kept
+            continue
+        kept = members[s] = {}
         graphs_of = graphs.setdefault(s.form, {})
         orders, others = _permuters(s.orders), _permuters(s.aut)[1:]
         cols = [s.cols[x] for x in s.orders[0]]
@@ -848,7 +932,6 @@ def _members(orbits: list[_Orbit], bounds: UniverseBounds) -> list[ExecutionSequ
             else:
                 _kind, p, q, c, iso = s.step
                 get, firsts = itemgetter(p, q), _permuters([tuple(iso[j] for j in a) for a in c.aut])
-        kept = members[s] = {} if s in parents else None
         for m in permutations(range(len(actions)), s.k):
             if others and not all(m <= a(m) for a in others):
                 continue
@@ -885,10 +968,49 @@ def _members(orbits: list[_Orbit], bounds: UniverseBounds) -> list[ExecutionSequ
                     label = labels[key] = Invocation(root=actions[key[1]], subtrace=sub, attach=actions[key[2]])
                 prefix = prefixes[m0]
                 seq = ExecutionSequence._chain(prefix.graphs + (g,), prefix.steps + (label,))
-            if kept is not None:
-                kept[m] = seq
-            out.append(seq)
-    return out
+            kept[m] = seq
+    return members
+
+
+def _reused(orbits: list[_Orbit], level: _Level) -> dict[_Orbit, dict[tuple[int, ...], ExecutionSequence]]:
+    """The level's members of each orbit whose derivation is one of the level's orbits'.
+
+    A derivation is the parent's derivation, the final form with its type
+    set, and the step, whose graft class compares as its fields, all read
+    from its `rep`'s graphs. Equal derivations give equal representatives
+    and equal step labels, so their orbits have the same members.
+    """
+    index: dict[tuple, list[_Orbit]] = {}
+    for old in level.members:
+        index.setdefault((old.parent, old.form), []).append(old)
+    same: dict[_Orbit, _Orbit] = {}
+    for s in orbits:  # parents first
+        if s.parent is None or s.parent in same:
+            for old in index.get((same.get(s.parent), s.form), ()):
+                if s.step == old.step:
+                    same[s] = old
+                    break
+    return {s: level.members[old] for s, old in same.items()}
+
+
+class _Level(frozenset):
+    """A level as `phi` returns it: the frozenset of its members, with how `phi` built them.
+
+    `members` maps each orbit, in order of growth, to its members by image
+    (`_members`), under `bounds`. `phi` reads them when it is given the
+    level back under equal bounds. Otherwise it is a plain frozenset: its
+    unions and copies are plain frozensets, and it pickles as one.
+    """
+
+    __slots__ = ("bounds", "members")
+
+    def __new__(cls, bounds: UniverseBounds, members: dict[_Orbit, dict[tuple[int, ...], ExecutionSequence]]):
+        level = super().__new__(cls, (seq for kept in members.values() for seq in kept.values()))
+        level.bounds, level.members = bounds, members
+        return level
+
+    def __reduce__(self):
+        return frozenset, (tuple(self),)
 
 
 def phi(
@@ -916,6 +1038,17 @@ def phi(
     isomorphism class, one representative sequence per orbit is grown, and
     each orbit is expanded into its members at the end.
 
+    The result is a frozenset that also keeps its orbits and their members.
+    When `pool` is such a result under equal bounds, as `hierarchy` passes
+    it, the graft classes, their least sequences and their budget charge
+    are read from the pool's orbits, and an orbit whose derivation is one of
+    the pool's (the same parent derivation, final form and step, a graft
+    class counting by its least sequence's graphs) takes the pool's member
+    objects; only the other orbits are expanded. The orbits are still grown
+    and the budget still charged on every call, so the result, its labels
+    and the budget at which it gives up are those of `frozenset(pool)`. Its
+    unions, copies and pickles are plain frozensets.
+
     `budget`, when given, caps the work in the moves that a step-by-step
     enumeration of the level makes (`reference_phi` in the test suite): one
     unit per injective renaming of each distinct usable pool final, one per
@@ -927,7 +1060,8 @@ def phi(
     step-by-step enumeration gives up. A negative budget is a ValueError.
     """
     tracker = _Budget(budget)
-    classes = _graft_classes(pool, bounds, tracker)
+    level = pool if isinstance(pool, _Level) and pool.bounds == bounds else None
+    classes = _graft_classes(pool, bounds, tracker) if level is None else _level_classes(level, tracker)
     n = len(bounds.actions)
     frontier = [_Orbit(None, ((ts, ty, b""),), (), bounds.types, None, [(0,)]) for ts in bounds.timestamps for ty in sorted(bounds.types)]
     orbits = list(frontier)
@@ -944,7 +1078,7 @@ def phi(
                 nxt.extend(_grow(s, bounds, classes))
         orbits.extend(nxt)
         frontier = nxt
-    return frozenset(_members(orbits, bounds))
+    return _Level(bounds, _members(orbits, bounds, {} if level is None else _reused(orbits, level)))
 
 
 def hierarchy(
@@ -956,9 +1090,10 @@ def hierarchy(
     """Iterate `phi` from the empty pool: levels 0 through `d_max` inclusive.
 
     The returned list ascends under set inclusion. Each level is enumerated
-    one orbit under renaming of action ids at a time (see `phi`); the budget
-    applies to each level separately and counts, as before, the moves of a
-    step-by-step enumeration of that level.
+    one orbit under renaming of action ids at a time (see `phi`) from the
+    level before it, whose members it shares wherever an orbit is derived as
+    there; the budget applies to each level separately and counts, as
+    before, the moves of a step-by-step enumeration of that level.
     """
     if d_max < 0:
         raise ValueError("d_max must be non-negative")

@@ -80,6 +80,7 @@ __all__ = [
     "PayloadTooLargeError",
     "EmptySessionError",
     "CorruptStoreError",
+    "StoreFailedError",
     "TraceFormatError",
     "DEFAULT_PAYLOAD_CAP",
     "MemoryStore",
@@ -117,6 +118,15 @@ class CorruptStoreError(StoreError):
     def __init__(self, reason: str, record: int | None = None, offset: int | None = None) -> None:
         super().__init__(reason if record is None else f"record {record} at byte {offset}: {reason}")
         self.reason, self.record, self.offset = reason, record, offset
+
+
+class StoreFailedError(StoreError):
+    """A write to the log failed and could not be rolled back, so the store refuses every later write.
+
+    The message names that first fault. Reads of what the store admitted
+    still work, and the half-written record stays the last bytes of the
+    log, where the next open cuts it as a torn tail.
+    """
 
 
 class TraceFormatError(CtegError):
@@ -453,8 +463,10 @@ class FileStore(MemoryStore):
     a v1 log keeps taking v1 records. The store keeps one unbuffered append
     handle until `close` (or the end of a `with` block), and writes each
     batch with one `write` before admitting it, rolling back a failed or
-    short write. An append never goes to a log that is no longer linked
-    (removed, or renamed over): it reopens the path, failing if it is gone.
+    short write; when the rollback itself fails, the store fails closed
+    (`StoreFailedError`, logged as `store.failed`). An append never goes to
+    a log that is no longer linked (removed, or renamed over): it reopens
+    the path, failing if it is gone.
     """
 
     def __init__(self, path: str | Path, payload_cap: int = DEFAULT_PAYLOAD_CAP) -> None:
@@ -484,6 +496,7 @@ class FileStore(MemoryStore):
                     _logger.warning("store.torn_tail_cut path=%s offset=%d bytes=%d records=%d", self._path, end, torn, records)
                 self._open_report = OpenReport(records, len(self._tables), torn, False)
         self._encode = _encode_v1 if magic == _MAGIC_V1 else _encode_v2
+        self._failed: str | None = None  # the first fault, once a rollback has failed
         self._log = _open_log(self._path)
 
     @property
@@ -492,6 +505,8 @@ class FileStore(MemoryStore):
         return self._open_report
 
     def _write(self, session_id: SessionId, rows: Sequence[_Plain] | None) -> None:
+        if self._failed is not None:
+            raise StoreFailedError(self._failed)
         blob = self._encode(session_id, rows)
         held = os.fstat(self._log.fileno())
         if held.st_nlink == 0:
@@ -504,7 +519,13 @@ class FileStore(MemoryStore):
                 raise OSError(f"short write to {self._path}")
         except OSError:
             # A partial record would swallow the next append on reopen.
-            os.ftruncate(self._log.fileno(), held.st_size)
+            try:
+                os.ftruncate(self._log.fileno(), held.st_size)
+            except OSError as fault:
+                # The log may now end inside a record: nothing written after it could be read back.
+                self._failed = f"store {self._path} failed: rolling back a failed write raised {type(fault).__name__}: {fault}"
+                _logger.error("store.failed path=%s op=ftruncate errno=%s", self._path, fault.errno)
+                raise StoreFailedError(self._failed) from fault
             raise
 
     def close(self) -> None:

@@ -27,10 +27,25 @@ Covered claims:
     - for `phi` and the reference alike, a level is closed under renaming
       action ids and a step label is a function of its two graphs, which is
       what enumerating by orbit rests on
+    - the d* table's two cheapest rows (4 actions, 4 timestamps, max_len 3,
+      batches of one or uncapped) stabilise at depth one
+    - `phi` given a level it returned (depth 0-2) gives the result, labels
+      and exact budget of the same pool as a plain frozenset, and at depth
+      0-1 the reference's; so it does at five actions, where a graft class
+      of E1 has a least sequence E0 lacks; each orbit's least member is
+      found without a member scan; a level pickles, copies and unions as a
+      plain frozenset, and one built under other bounds is never reused
+    - at the CLI defaults, `phi(E0)` builds only the members of the orbits
+      new in E1, `phi(E1)` and `phi(E2)` build no graph, sequence or label,
+      and the whole chain with its assertions compares no two sequences;
+      chains that share a final hash by the ids their last step added
 """
 
+import copy
 import hashlib
+import pickle
 import random
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -64,13 +79,17 @@ from cteg import (
     replicate_as_e0_invocation,
     validate_cteg,
 )
+from cteg import dynamics
 from cteg.cli import _oracle_bounds
 from cteg.core import NodeTable
-from cteg.dynamics import _rename_chain
+from cteg.dynamics import _least_member, _rename_chain, _seq_sort_key
 from util import (
     aid,
     budget_spent,
     chains_of,
+    counting_graphs,
+    counting_labels,
+    counting_sequences,
     counting_subgraph_proofs,
     cteg,
     ctegs,
@@ -721,6 +740,17 @@ class TestHierarchyAtDeskScale:
         del e1
         assert phi(e2, b) == e2
 
+    @pytest.mark.parametrize(
+        "max_step_emit,d_star,sizes", [(1, 1, (520, 1432, 1432)), (None, 1, (2032, 2944, 2944))], ids=["batches-of-one", "uncapped"]
+    )
+    def test_stabilisation_depth_of_the_cheapest_table_rows(self, max_step_emit, d_star, sizes):
+        # README's d* table at 4 actions, 4 timestamps and max_len 3: the least d with E_d == E_{d+1}
+        b = _oracle_bounds(4, 4, 3)
+        b = UniverseBounds(b.actions, b.timestamps, b.types, b.max_len, max_step_emit)
+        levels = hierarchy(b, d_star + 1)
+        assert tuple(map(len, levels)) == sizes
+        assert levels[d_star - 1] != levels[d_star] == levels[d_star + 1]
+
     def test_depth_two_outgrows_depth_one_when_batches_are_capped(self):
         # With one node per emission, a two-step sequence can end in a
         # four-node tree (a root with a graft of a two-node chain and one
@@ -898,3 +928,114 @@ class TestPhiMatchesReference:
         if fast_spent:
             with pytest.raises(BudgetExceededError):
                 phi(pool, b, budget=fast_spent - 1)
+
+
+def level_at(b: UniverseBounds, depth: int) -> frozenset:
+    """Level `depth` of the hierarchy, as `phi` returns it."""
+    level = phi(frozenset(), b)
+    for _ in range(depth):
+        level = phi(level, b)
+    return level
+
+
+class TestLevelReuse:
+    """`phi` given a level it returned, under equal bounds, against the same pool as a plain frozenset."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(b=small_bounds, depth=st.integers(0, 2))
+    def test_a_level_pool_gives_the_plain_pool_result_labels_and_budget(self, b, depth):
+        level = level_at(b, depth)
+        plain = frozenset(level)
+        assert type(plain) is frozenset
+        fast_spent, fast = budget_spent(lambda: phi(level, b))
+        slow_spent, slow = budget_spent(lambda: phi(plain, b))
+        assert fast == slow
+        assert label_listing(fast) == label_listing(slow)
+        assert fast_spent == slow_spent
+        if fast_spent:
+            for pool in (level, plain):
+                with pytest.raises(BudgetExceededError):
+                    phi(pool, b, budget=fast_spent - 1)
+        if depth < 2:
+            ref = reference_phi(level, b)
+            assert fast == ref and label_listing(fast) == label_listing(ref)
+
+    def test_a_class_whose_least_sequence_is_new_relabels_its_grafts(self):
+        # At five actions a graft class of E1 can have a least sequence that E0 lacks, so an orbit of
+        # E2 with the parent and final form of an E1 orbit is grafted from another rep; its labels change.
+        b = bounds_of(5, 4, 3, max_step_emit=2)
+        e1 = level_at(b, 1)
+        fast = phi(e1, b)
+        slow = phi(frozenset(e1), b)
+        assert fast == slow and label_listing(fast) == label_listing(slow)
+
+    def test_the_least_member_of_each_orbit_is_the_least_by_sort_key(self):
+        e1 = level_at(bounds_of(4, 4, 3, n_types=2, max_step_emit=2), 1)
+        least = []
+        for s, kept in e1.members.items():
+            key, m = _least_member(s)
+            assert kept[m] is min(kept.values(), key=_seq_sort_key)
+            least.append((key, kept[m]))
+        # keys in action indices order the least members as their own sort keys do
+        assert [seq for _key, seq in sorted(least, key=itemgetter(0))] == sorted((seq for _key, seq in least), key=_seq_sort_key)
+
+    def test_a_level_pickles_copies_and_unions_as_a_plain_frozenset(self):
+        b = bounds_of(3, 3, 2)
+        level = phi(frozenset(), b)
+        assert type(level) is not frozenset
+        func, args = level.__reduce__()
+        assert func is frozenset and all(isinstance(s, ExecutionSequence) for s in args[0])
+        others = [pickle.loads(pickle.dumps(level)), copy.copy(level), copy.deepcopy(level)]
+        others += [level | frozenset(), level & level, level - frozenset(), level ^ frozenset()]
+        for other in others:
+            assert type(other) is frozenset and other == level
+
+    def test_a_level_under_other_bounds_is_never_reused(self):
+        b = bounds_of(3, 3, 2)
+        for other in (bounds_of(3, 3, 2, max_step_emit=1), bounds_of(3, 4, 2), bounds_of(3, 3, 3)):
+            level = phi(frozenset(), other)
+            with mock.patch.multiple(dynamics, _level_classes=mock.DEFAULT, _reused=mock.DEFAULT) as fast_path:
+                result = phi(level, b)
+            assert not any(f.called for f in fast_path.values())
+            plain = phi(frozenset(level), b)
+            assert result == plain and label_listing(result) == label_listing(plain)
+
+    def test_at_the_cli_defaults_only_the_orbits_new_in_e1_are_expanded(self):
+        b = _oracle_bounds(4, 4, 3)
+        e0 = phi(frozenset(), b)
+        built, patch = counting_sequences()
+        with patch:
+            e1 = phi(e0, b)
+        in_e1 = {id(s) for s in e1}
+        assert {id(s) for s in e0} <= in_e1  # every member of E0 is reused as it is
+        assert sum(id(s) in in_e1 for s in built) == len(e1) - len(e0) == 912
+        assert all(s.steps is None for s in built if id(s) not in in_e1)  # the rest are renamed subtraces
+
+        graphs, graph_patch = counting_graphs()
+        sequences, sequence_patch = counting_sequences()
+        labels, label_patch = counting_labels()
+        with graph_patch, sequence_patch, label_patch:
+            e2 = phi(e1, b)
+            fix = phi(e2, b)
+        assert (graphs, sequences, labels) == ([], [], [])
+        assert e1 == e2 == fix
+
+    def test_a_chain_at_the_cli_defaults_compares_no_two_sequences(self):
+        b = _oracle_bounds(4, 4, 3)
+        calls = []
+        eq = ExecutionSequence.__eq__
+
+        def counting(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        with mock.patch.object(ExecutionSequence, "__eq__", counting):
+            e0, e1, e2, fix = hierarchy(b, 3)
+            assert e0 <= e1 <= e2 and e0 != e1 and e1 == e2 == fix
+        assert calls == []
+
+    def test_chains_sharing_a_final_hash_by_their_last_step(self):
+        root, a, b = graph({1: 0}, set()), graph({1: 0, 2: 1}, {(1, 2)}), graph({1: 0, 3: 1}, {(1, 3)})
+        both = graph({1: 0, 2: 1, 3: 1}, {(1, 2), (1, 3)})
+        via_a, via_b = ExecutionSequence((root, a, both)), ExecutionSequence((root, b, both))
+        assert via_a != via_b and hash(via_a) != hash(via_b)

@@ -196,7 +196,7 @@ class TestAppend:
 class TestErrorClasses:
     def test_every_store_error_is_a_store_error(self):
         names = [name for name in persistence.__all__ if name.endswith("Error") and name != "TraceFormatError"]
-        assert len(names) == 10
+        assert len(names) == 11
         for name in names:
             assert issubclass(getattr(persistence, name), StoreError), name
 

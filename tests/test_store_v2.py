@@ -21,10 +21,17 @@ Covered claims:
       (a column cut short, a length that overruns, a type index or name
       that does not decode) or whose length is below the 9-byte minimum;
       reopening it leaves the file's bytes as they were
+    - when the rollback of a short write fails, the store fails closed: the
+      write and every later one raise `StoreFailedError` naming the first
+      fault, one `store.failed` error is logged, reads still work, and a
+      copy of the log reopens to every acknowledged write, cutting the
+      half record as a torn tail
 """
 
+import errno
 import io
 import logging
+import os
 import struct
 import zlib
 from itertools import count
@@ -38,7 +45,7 @@ from cteg import Cteg, FileStore, SessionId, append_trace, is_member_e_infinity
 from cteg import persistence
 from cteg.core import graph_from_rows
 from cteg.dynamics import ExecutionSequence
-from cteg.persistence import CorruptStoreError, EmptySessionError, OpenReport, StoreError, _MAGIC, _replay
+from cteg.persistence import CorruptStoreError, EmptySessionError, OpenReport, StoreError, StoreFailedError, _MAGIC, _replay
 from util import aid, record_boundaries, ts, ty
 
 MAGIC = b"CTEGSTORE2"
@@ -331,6 +338,61 @@ class TestCorruption:
         with caplog.at_level(logging.DEBUG, logger="cteg"), pytest.raises(CorruptStoreError, match="missing store magic header"):
             FileStore(path)
         assert caplog.records == []
+
+
+class _HalfWrites:
+    """An append handle that writes the first half of each blob and says so."""
+
+    def __init__(self, raw) -> None:
+        self.raw = raw
+
+    def write(self, blob) -> int:
+        return self.raw.write(blob[: len(blob) // 2])
+
+    def fileno(self) -> int:
+        return self.raw.fileno()
+
+
+class TestFailedRollback:
+    def test_a_store_whose_rollback_failed_refuses_writes_and_reopens_to_what_it_acknowledged(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "log.cteg"
+        with FileStore(path) as store:
+            store.register_session(sid(1))
+            store.append_rows(sid(1), [row(10, None, 0), row(11, 10, 1)])
+            store.register_session(sid(2))
+            store.append_rows(sid(2), [row(20, None, 3)])
+            acknowledged = path.read_bytes()
+
+            def eio(fd, size):
+                raise OSError(errno.EIO, "injected")
+
+            monkeypatch.setattr(store, "_log", _HalfWrites(store._log))
+            monkeypatch.setattr(os, "ftruncate", eio)
+            with caplog.at_level(logging.DEBUG, logger="cteg"), pytest.raises(StoreFailedError, match=r"\[Errno 5\] injected") as first:
+                store.append_rows(sid(1), [row(12, 11, 2, payload=b"x" * 64)])
+            monkeypatch.undo()
+            assert isinstance(first.value.__cause__, OSError)
+            assert [(e.levelno, e.getMessage()) for e in caplog.records] == [
+                (logging.ERROR, f"store.failed path={path} op=ftruncate errno={errno.EIO}")
+            ]
+            half = path.read_bytes()
+            assert half.startswith(acknowledged) and len(half) > len(acknowledged)
+
+            # every later write names the first fault and writes nothing; reads still work
+            for write in (lambda: store.append_rows(sid(2), [row(21, 20, 4)]), lambda: store.register_session(sid(3))):
+                with pytest.raises(StoreFailedError, match=r"\[Errno 5\] injected"):
+                    write()
+            assert path.read_bytes() == half
+            assert store.session_ids() == (sid(1), sid(2))
+            assert store.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
+
+        copy = tmp_path / "copy.cteg"
+        copy.write_bytes(half)
+        with FileStore(copy) as reopened:
+            assert reopened.open_report == OpenReport(4, 2, len(half) - len(acknowledged), False)
+            assert reopened.load_session(sid(1)).graph.nodes == {aid(10), aid(11)}
+            assert reopened.load_session(sid(2)).graph.nodes == {aid(20)}
+        assert copy.read_bytes() == acknowledged
 
 
 # ---------------------------------------------------------------------------

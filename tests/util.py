@@ -635,6 +635,24 @@ def counting_graphs():
     return built, patch
 
 
+def counting_sequences():
+    """A list and a patch that appends every execution sequence built, checked or not."""
+    built = []
+    check = ExecutionSequence.__post_init__
+    chain = ExecutionSequence._chain.__func__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    def counting_chain(cls, *fields):
+        built.append(chain(cls, *fields))
+        return built[-1]
+
+    patch = mock.patch.multiple(ExecutionSequence, __post_init__=counting, _chain=classmethod(counting_chain))
+    return built, patch
+
+
 def counting_labels():
     """A list and a patch that appends the class of every `ActionId`, `Emission` and `Invocation` built, checked or not."""
     built = []
