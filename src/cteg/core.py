@@ -833,7 +833,12 @@ def graph_text(g: TypedTemporalGraph) -> str:
     exactly when their renderings are, making this suitable for golden
     listings.
     """
-    ids, edges, micros, names, type_names, payloads = g._canonical_key()
+    return _key_text(g._canonical_key())
+
+
+def _key_text(key: tuple) -> str:
+    """`graph_text` of the graph whose canonical key is `key`."""
+    ids, edges, micros, names, type_names, payloads = key
     nodes = ",".join(
         f"{n.hex()}@{m}:{name}" + (f"={base64.b64encode(p).decode('ascii')}" if p else "")
         for n, m, name, p in zip(ids, micros, names, payloads)

@@ -24,9 +24,10 @@ On top of the step semantics this module provides:
   one is strictly richer than depth zero, that the chain stabilises, and
   that the stable set is a fixed point. Renaming node ids maps every level
   onto itself, so `phi` grows one representative per orbit under renaming
-  and expands the orbits into their members at the end. Given back a level
-  it returned, `phi` expands only the orbits derived differently from the
-  level's and reuses the level's members for the rest.
+  and expands the orbits into their members, row-backed sequences, at the
+  end. Given back a level it returned, `phi` expands only the orbits
+  derived differently from the level's and reuses the level's members for
+  the rest.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, groupby, permutations, product, repeat
-from operator import attrgetter, eq, itemgetter, le
+from operator import eq, itemgetter, le
 from typing import AbstractSet, NamedTuple
 
 from .core import (
@@ -53,12 +54,12 @@ from .core import (
     ValidationFailedError,
     Violation,
     _frozen,
+    _key_text,
     _new,
     _objects,
     _Plain,
     graft,
     graph_from_rows,
-    graph_text,
     validate_cteg,
 )
 
@@ -161,6 +162,20 @@ class _Prefixes(Sequence):
             return _Prefixes(self.rows, self.marks[k], self.type_set)
         return graph_from_rows(_objects(self.rows[: self.marks[k]]), self.type_set)
 
+    def key(self, k: int) -> tuple:
+        """The canonical key of graph `k` (`TypedTemporalGraph._canonical_key`), read from its rows alone."""
+        rows = self.rows[: self.marks[k]]
+        order = sorted(rows, key=itemgetter(0))
+        kinds = map(itemgetter(3), rows) if self.type_set is None else self.type_set
+        return (
+            tuple(map(itemgetter(0), order)),
+            tuple(sorted((parent, node) for node, parent, _, _, _ in rows if parent is not None)),
+            tuple(map(itemgetter(2), order)),
+            tuple(row[3].name for row in order),
+            tuple(sorted({kind.name for kind in kinds})),
+            tuple(map(itemgetter(4), order)),
+        )
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Prefixes):
             if (self.type_set is None) is (other.type_set is None) and self._plain() and other._plain():
@@ -226,22 +241,23 @@ class ExecutionSequence:
     the same chain by differently labelled moves are the same element of
     the sequence space. Equal chains have equal lengths, final graphs and
     ids added by the last step (all ids of a one-graph chain), so the hash
-    is that of the three, computed on first use and then cached; an id
-    hashes as its bytes, so both forms below hash alike.
+    is that of the three, computed on first use and then cached. The final
+    graph counts as the sets of its (id bytes, microseconds, type name,
+    payload) nodes, its (parent, child) id edges and its declared type
+    names, which both forms below give without building a graph.
 
-    A sequence has one of two forms; `graphs` and `steps` are tuples only
-    in the first:
+    A sequence has one of two forms:
 
-    - graph-backed, every graph held: the public constructor proves
-      extension pair by pair; `phi` builds it through `_chain`, without
-      the proof, from injectively renamed checked chains.
-    - row-backed: one shared list of plain node-table rows, one mark (a
-      row count) per state, and an optional declared type set (`_rows`),
-      built by `Session.history` and `e0_normalize`. A prefix of one row
-      list extends every shorter prefix, so nothing is proved. Indexing,
-      slicing and iteration of `graphs` and `steps`, and `final`, build
-      each graph or label they return and keep none. It equals, and hashes
-      as, its graph-backed copy.
+    - graph-backed, every graph held in a tuple: the public constructor
+      proves extension pair by pair; `phi` builds it through `_chain`,
+      without the proof, only where rows cannot hold the chain.
+    - row-backed: one shared sequence of plain node-table rows, one mark
+      (a row count) per state, and an optional declared type set
+      (`_rows`), built by `Session.history`, `e0_normalize` and `phi`. A
+      prefix of one row list extends every shorter prefix, so nothing is
+      proved. `graphs` is a read-only view: indexing, slicing and
+      iteration, and `final`, build each graph they return and keep none.
+      It equals, and hashes as, its graph-backed copy.
     """
 
     graphs: Sequence[TypedTemporalGraph]
@@ -292,12 +308,19 @@ class ExecutionSequence:
         h = self._hash
         if h is None:
             graphs = self.graphs
-            if isinstance(graphs, _Prefixes):
+            if isinstance(graphs, _Prefixes):  # the rows up to the last mark
                 marks = graphs.marks
-                added = frozenset(map(itemgetter(0), graphs.rows[marks[-2] if len(marks) > 1 else 0 : marks[-1]]))
+                rows = graphs.rows[: marks[-1]]
+                nodes = ((node, micros, kind.name, payload) for node, _, micros, kind, payload in rows)
+                edges = ((parent, node) for node, parent, _, _, _ in rows if parent is not None)
+                kinds = map(itemgetter(3), rows) if graphs.type_set is None else graphs.type_set
+                added = map(itemgetter(0), rows[marks[-2] if len(marks) > 1 else 0 :])
             else:
-                added = graphs[-1].nodes - graphs[-2].nodes if len(graphs) > 1 else graphs[-1].nodes
-            h = hash((len(graphs), graphs[-1], added))
+                f, before = graphs[-1], graphs[-2].nodes if len(graphs) > 1 else ()
+                nodes = ((n.value, f.t[n].micros, f.tau[n].name, f.payloads[n]) for n in f.nodes)
+                edges = ((a.value, b.value) for a, b in f.edges)
+                kinds, added = f.type_set, (n.value for n in f.nodes if n not in before)
+            h = hash((len(graphs), frozenset(nodes), frozenset(edges), frozenset(kind.name for kind in kinds), frozenset(added)))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -624,7 +647,11 @@ class _Budget:
 
 
 def _seq_sort_key(seq: ExecutionSequence):
-    return tuple(g._canonical_key() for g in seq.graphs)
+    """The canonical keys of the graphs of `seq`; a row-backed sequence reads them from its rows."""
+    graphs = seq.graphs
+    if isinstance(graphs, _Prefixes):
+        return tuple(map(graphs.key, range(len(graphs))))
+    return tuple(g._canonical_key() for g in graphs)
 
 
 def _rename_graph(g: TypedTemporalGraph, m: Mapping[ActionId, ActionId]) -> TypedTemporalGraph:
@@ -639,12 +666,23 @@ def _rename_graph(g: TypedTemporalGraph, m: Mapping[ActionId, ActionId]) -> Type
     )
 
 
-def _rename_chain(seq: ExecutionSequence, m: Mapping[ActionId, ActionId]) -> ExecutionSequence:
-    # Graphs in a chain only ever use nodes of the final graph, so the
-    # renaming is total on them, and being injective it keeps the chain
-    # extending. Labels are dropped rather than renamed: hand-built label
-    # trees may mention ids the mapping does not cover.
-    return ExecutionSequence._chain(tuple(_rename_graph(g, m) for g in seq.graphs), None)
+def _rename_chain(seq: ExecutionSequence, m: Mapping[bytes, bytes]) -> ExecutionSequence:
+    """`seq` with every id renamed by the injective `m` on id bytes, in the same form, without labels.
+
+    States in a chain only ever use nodes of the final state, so the
+    renaming is total on them, and being injective it keeps the chain
+    extending. Labels are dropped rather than renamed: hand-built label
+    trees may mention ids the mapping does not cover.
+    """
+    graphs = seq.graphs
+    if isinstance(graphs, _Prefixes):
+        rows = tuple(
+            (m[node], parent if parent is None else m[parent], micros, kind, payload)
+            for node, parent, micros, kind, payload in graphs.rows[: graphs.marks[-1]]
+        )
+        return ExecutionSequence._rows(rows, graphs.marks, None, graphs.type_set)
+    ids = {n: ActionId(m[n.value]) for n in seq.final.nodes}
+    return ExecutionSequence._chain(tuple(_rename_graph(g, ids) for g in graphs), None)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +695,7 @@ def _rename_chain(seq: ExecutionSequence, m: Mapping[ActionId, ActionId]) -> Exe
 # members at the end, reusing those of a pool level (`_Level`) for every
 # orbit derived as one of its own. A representative numbers its nodes 0..k-1
 # in order of appearance, so its prefix is its parent's representative under
-# the same numbering. A node column is `(Timestamp, EventType, payload)`.
+# the same numbering. A node column is `(microseconds, EventType, payload)`.
 
 
 def _least(cols, edges: Sequence[tuple[int, int]], nodes: Iterable[int], fixed=((),)):
@@ -674,7 +712,7 @@ def _least(cols, edges: Sequence[tuple[int, int]], nodes: Iterable[int], fixed=(
             deg[a][1] += 1
         if b in deg:
             deg[b][0] += 1
-    labelled = sorted(((cols[x][0].micros, cols[x][1].name, cols[x][2], *d), x) for x, d in deg.items())
+    labelled = sorted(((cols[x][0], cols[x][1].name, cols[x][2], *d), x) for x, d in deg.items())
     runs = [list(permutations(x for _label, x in run)) for _label, run in groupby(labelled, key=itemgetter(0))]
     best, hits, pos = None, [], [0] * len(cols)
     for choice in product(fixed, *runs):
@@ -700,11 +738,11 @@ class _Class(NamedTuple):
 
     `rep` is the least pool sequence (by `_seq_sort_key`) whose final is in
     the class; `cols`, `edges`, `zero_in` and `aut` (the final's
-    automorphisms) index into `src`, the sorted nodes of that final.
+    automorphisms) index into `src`, the sorted id bytes of that final.
     """
 
     rep: ExecutionSequence
-    src: tuple[ActionId, ...]
+    src: tuple[bytes, ...]
     cols: tuple
     edges: tuple[tuple[int, int], ...]
     type_set: frozenset[EventType]
@@ -712,19 +750,19 @@ class _Class(NamedTuple):
     aut: list[tuple[int, ...]]
 
 
-def _usable(seq: ExecutionSequence, bounds: UniverseBounds, stamps: AbstractSet[Timestamp]) -> tuple[tuple, _Class] | None:
-    """The class key of the final of `seq` and its class with `seq` as `rep`, or None when the final is not usable."""
-    f = seq.final
-    k = len(f.nodes)
-    if k < len(bounds.actions) and set(f.t.values()) <= stamps and set(f.tau.values()) <= bounds.types:
-        src = tuple(sorted(f.nodes, key=attrgetter("value")))
+def _usable(seq: ExecutionSequence, key: tuple, bounds: UniverseBounds) -> tuple[tuple, _Class] | None:
+    """The class key of the final of `seq`, whose canonical key is `key`, and its class with `seq` as `rep`; None when the final is not usable."""
+    src, edges, micros, names, type_names, payloads = key
+    k, types = len(src), {ty.name: ty for ty in bounds.types}
+    if k < len(bounds.actions) and {ts.micros for ts in bounds.timestamps}.issuperset(micros) and types.keys() >= set(names):
         index = {node: j for j, node in enumerate(src)}
-        cols = tuple((f.t[node], f.tau[node], f.payloads[node]) for node in src)
-        edges = tuple((index[a], index[b]) for a, b in f.edges)
+        edges = tuple((index[a], index[b]) for a, b in edges)
         zero_in = tuple(sorted(set(range(k)) - {b for _a, b in edges}))
         if zero_in:
+            cols = tuple(zip(micros, map(types.__getitem__, names), payloads))
+            type_set = frozenset(types.get(name) or EventType(name) for name in type_names)
             form, hits = _least(cols, edges, range(k))
-            return (*form, f.type_set), _Class(seq, src, cols, edges, f.type_set, zero_in, _automorphisms(hits))
+            return (*form, type_set), _Class(seq, src, cols, edges, type_set, zero_in, _automorphisms(hits))
     return None
 
 
@@ -737,18 +775,17 @@ def _graft_classes(pool: Iterable[ExecutionSequence], bounds: UniverseBounds, bu
     final into the action pool, as renaming them one by one would spend.
     """
     n = len(bounds.actions)
-    stamps = set(bounds.timestamps)
-    local: dict[TypedTemporalGraph, tuple | None] = {}
+    local: dict[tuple, tuple | None] = {}  # by the final's canonical key
     best: dict[tuple, tuple[tuple, _Class]] = {}
     for seq in pool:
-        f = seq.final
+        sort_key = _seq_sort_key(seq)
+        f = sort_key[-1]
         if f not in local:
-            local[f] = _usable(seq, bounds, stamps)
+            local[f] = _usable(seq, f, bounds)
             if local[f] is not None:
-                budget.spend(math.perm(n, len(f.nodes)))
+                budget.spend(math.perm(n, len(f[0])))
         if local[f] is not None:
             key, c = local[f]
-            sort_key = _seq_sort_key(seq)
             if key not in best or sort_key < best[key][0]:
                 best[key] = (sort_key, c._replace(rep=seq))
     return [c for _sort_key, c in sorted(best.values(), key=itemgetter(0))]
@@ -772,8 +809,7 @@ def _level_classes(level: _Level, budget: _Budget) -> list[_Class]:
             key, m = _least_member(s)
             if s.form not in best or key < best[s.form][0]:
                 best[s.form] = (key, kept[m])
-    stamps = set(bounds.timestamps)
-    return [_usable(rep, bounds, stamps)[1] for _key, rep in sorted(best.values(), key=itemgetter(0))]
+    return [_usable(rep, _seq_sort_key(rep)[-1], bounds)[1] for _key, rep in sorted(best.values(), key=itemgetter(0))]
 
 
 def _least_member(s: _Orbit) -> tuple[tuple, tuple[int, ...]]:
@@ -807,7 +843,7 @@ def _index_key(s: _Orbit, m: tuple[int, ...]) -> tuple:
     return (
         s.k,
         tuple(sorted((m[a], m[b]) for a, b in s.edges)),
-        tuple(col[0].micros for col in cols),
+        tuple(col[0] for col in cols),
         tuple(col[1].name for col in cols),
         tuple(sorted(ty.name for ty in s.type_set)),
         tuple(col[2] for col in cols),
@@ -823,13 +859,14 @@ class _Orbit:
     `("I", p, q, class, iso)` with `iso[j]` the node that the class's
     `src[j]` became. `aut` lists the automorphisms of the whole chain,
     identity first; `form` and `orders` are the final graph's canonical form
-    and least orderings.
+    and least orderings; `marks` counts the nodes of each state.
     """
 
-    __slots__ = ("parent", "k", "cols", "edges", "type_set", "step", "aut", "form", "orders")
+    __slots__ = ("parent", "k", "cols", "edges", "type_set", "step", "aut", "form", "orders", "marks")
 
     def __init__(self, parent, cols, edges, type_set, step, aut) -> None:
         self.parent, self.k, self.cols, self.edges = parent, len(cols), cols, edges
+        self.marks = (len(cols),) if parent is None else (*parent.marks, len(cols))
         self.type_set, self.step, self.aut = type_set, step, aut
         form, self.orders = _least(cols, edges, range(len(cols)))
         self.form = (*form, type_set)
@@ -850,7 +887,7 @@ def _grow(s: _Orbit, bounds: UniverseBounds, classes: list[_Class]) -> list[_Orb
     free = len(bounds.actions) - k
     moves = []
     for p in range(k):
-        options = [(ts, ty, b"") for ts in bounds.timestamps if s.cols[p][0] < ts for ty in sorted(bounds.types)]
+        options = [(ts.micros, ty, b"") for ts in bounds.timestamps if s.cols[p][0] < ts.micros for ty in sorted(bounds.types)]
         for j in range(1, min(bounds.emit_cap, free) + 1):
             new = tuple(range(k, k + j))
             for chosen in combinations_with_replacement(options, j):
@@ -880,14 +917,14 @@ def _move_count(s: _Orbit, bounds: UniverseBounds, classes: list[_Class]) -> int
     `kc! / |aut|` distinct candidates on each set of `kc` free ids.
     """
     free = len(bounds.actions) - s.k
-    times = [col[0].micros for col in s.cols]
+    times = [col[0] for col in s.cols]
     total = 0
     for tp in times:
         options = len(bounds.types) * sum(tp < ts.micros for ts in bounds.timestamps)
         total += sum(math.comb(free, j) * options**j for j in range(1, min(bounds.emit_cap, free) + 1))
     for c in classes:
         per_set = math.comb(free, len(c.src)) * math.factorial(len(c.src)) // len(c.aut)
-        total += per_set * sum(tp < c.cols[z][0].micros for z in c.zero_in for tp in times)
+        total += per_set * sum(tp < c.cols[z][0] for z in c.zero_in for tp in times)
     return total
 
 
@@ -896,23 +933,41 @@ def _permuters(perms: Iterable[Sequence[int]]) -> list:
     return [itemgetter(*p) if len(p) > 1 else (lambda m, x=p[0]: (m[x],)) for p in perms]
 
 
+def _delta_rows(s: _Orbit, types: frozenset[EventType]) -> tuple | None:
+    """The nodes the last step of `s` added as (node, parent or None, column) in time order; None when rows cannot hold its chain.
+
+    Times rise along every edge of a trace, so its parents come first. Rows
+    give a node one parent and declare one type set for every state; only a
+    hand-built pool final can break this, by a node with two parents or by
+    declared types beyond `types`.
+    """
+    parents = {b: a for a, b in s.edges}
+    if len(parents) < len(s.edges) or s.type_set != types:
+        return None
+    new = sorted(range(s.parent.k if s.parent is not None else 0, s.k), key=lambda x: s.cols[x][0])
+    return tuple((x, parents.get(x), s.cols[x]) for x in new)
+
+
 def _members(
     orbits: list[_Orbit], bounds: UniverseBounds, reused: Mapping[_Orbit, dict[tuple[int, ...], ExecutionSequence]]
 ) -> dict[_Orbit, dict[tuple[int, ...], ExecutionSequence]]:
-    """Every member of every orbit, by orbit and image, each distinct graph and step label built once.
+    """Every member of every orbit, by orbit and image, each distinct step label built once.
 
     A member renames node `x` of the representative to `actions[m[x]]` for
     an injective image `m`. Images that differ by an automorphism give the
     same member, so only the least is kept, and a member's prefix is the
-    parent orbit's member at the least image of `m[:k]`. A graph is keyed by
-    its form and its ids in the form's order, least over the form's
-    orderings. A graft's subtrace is the class's `rep` renamed by the least
-    id tuple that carries its final onto the candidate: the renaming that an
-    enumeration of renamings in order meets first. An orbit in `reused`
-    takes the members given there and builds none.
+    parent orbit's member at the least image of `m[:k]`. A member is
+    row-backed (see `ExecutionSequence`) and builds no graph: its rows are
+    its prefix's plus one per node its last step added (`_delta_rows`), its
+    marks its prefix's plus one, and it declares the bounds' types. Where
+    rows cannot hold the chain, the orbit's members are graph-backed. A
+    graft's subtrace is the class's `rep` renamed, in its own form, by the
+    least id tuple that carries its final onto the candidate: the renaming
+    that an enumeration of renamings in order meets first. An orbit in
+    `reused` takes the members given there and builds none.
     """
     actions = bounds.actions
-    graphs: dict[tuple, dict[tuple[int, ...], TypedTemporalGraph]] = {}
+    ids = [a.value for a in actions]
     labels: dict[tuple, StepLabel] = {}
     subtraces: dict[tuple, ExecutionSequence] = {}
     members: dict[_Orbit, dict[tuple[int, ...], ExecutionSequence]] = {}
@@ -922,9 +977,8 @@ def _members(
             members[s] = kept
             continue
         kept = members[s] = {}
-        graphs_of = graphs.setdefault(s.form, {})
-        orders, others = _permuters(s.orders), _permuters(s.aut)[1:]
-        cols = [s.cols[x] for x in s.orders[0]]
+        others = _permuters(s.aut)[1:]
+        delta = _delta_rows(s, bounds.types)
         if s.parent is not None:
             k0, others0, prefixes = s.parent.k, _permuters(s.parent.aut)[1:], members[s.parent]
             if s.step[0] == "E":
@@ -935,20 +989,8 @@ def _members(
         for m in permutations(range(len(actions)), s.k):
             if others and not all(m <= a(m) for a in others):
                 continue
-            image = orders[0](m) if len(orders) == 1 else min(order(m) for order in orders)
-            g = graphs_of.get(image)
-            if g is None:
-                ids = [actions[i] for i in image]
-                g = graphs_of[image] = TypedTemporalGraph._unchecked(
-                    frozenset(ids),
-                    frozenset((ids[a], ids[b]) for a, b in s.form[1]),
-                    {n: col[0] for n, col in zip(ids, cols)},
-                    {n: col[1] for n, col in zip(ids, cols)},
-                    s.type_set,
-                    {n: col[2] for n, col in zip(ids, cols)},
-                )
             if s.parent is None:
-                seq = ExecutionSequence._chain((g,), ())
+                prefix, steps = None, ()
             else:
                 m0 = m[:k0]
                 if others0:
@@ -960,14 +1002,28 @@ def _members(
                     key = (c.rep, *get(m), first)
                 label = labels.get(key)
                 if label is None and c is None:
-                    label = labels[key] = Emission(actions[key[0]], frozenset(actions[x] for x in key[1:]))
+                    label = labels[key] = _new(Emission, actions[key[0]], frozenset(actions[x] for x in key[1:]))
                 elif label is None:
                     sub = subtraces.get((c.rep, first))
                     if sub is None:
-                        sub = subtraces[c.rep, first] = _rename_chain(c.rep, dict(zip(c.src, (actions[i] for i in first))))
-                    label = labels[key] = Invocation(root=actions[key[1]], subtrace=sub, attach=actions[key[2]])
+                        sub = subtraces[c.rep, first] = _rename_chain(c.rep, dict(zip(c.src, (ids[i] for i in first))))
+                    label = labels[key] = _new(Invocation, actions[key[1]], sub, actions[key[2]])
                 prefix = prefixes[m0]
-                seq = ExecutionSequence._chain(prefix.graphs + (g,), prefix.steps + (label,))
+                steps = prefix.steps + (label,)
+            if delta is not None:
+                new = tuple((ids[m[x]], None if px is None else ids[m[px]], *col) for x, px, col in delta)
+                seq = ExecutionSequence._rows(new if prefix is None else prefix.graphs.rows + new, s.marks, steps, bounds.types)
+            else:
+                node = [actions[i] for i in m]
+                g = TypedTemporalGraph._unchecked(
+                    frozenset(node),
+                    frozenset((node[a], node[b]) for a, b in s.edges),
+                    {n: Timestamp(col[0]) for n, col in zip(node, s.cols)},
+                    {n: col[1] for n, col in zip(node, s.cols)},
+                    s.type_set,
+                    {n: col[2] for n, col in zip(node, s.cols)},
+                )
+                seq = ExecutionSequence._chain((g,) if prefix is None else (*prefix.graphs, g), steps)
             kept[m] = seq
     return members
 
@@ -977,7 +1033,7 @@ def _reused(orbits: list[_Orbit], level: _Level) -> dict[_Orbit, dict[tuple[int,
 
     A derivation is the parent's derivation, the final form with its type
     set, and the step, whose graft class compares as its fields, all read
-    from its `rep`'s graphs. Equal derivations give equal representatives
+    from its `rep`'s final. Equal derivations give equal representatives
     and equal step labels, so their orbits have the same members.
     """
     index: dict[tuple, list[_Orbit]] = {}
@@ -1036,7 +1092,13 @@ def phi(
     adds graft candidates. Renaming action ids maps the result onto itself,
     so it is enumerated one orbit at a time: pool finals are grouped by
     isomorphism class, one representative sequence per orbit is grown, and
-    each orbit is expanded into its members at the end.
+    each orbit is expanded into its members at the end. A member is a
+    row-backed sequence (see `ExecutionSequence`), so its `graphs` is a
+    read-only view that builds each graph when it is read; only a pool
+    final that rows cannot hold (a node with two parents, a cycle, or
+    declared types beyond the bounds') gives graph-backed members. Pool
+    sequences of either form are read from their rows or their graphs
+    without building a graph.
 
     The result is a frozenset that also keeps its orbits and their members.
     When `pool` is such a result under equal bounds, as `hierarchy` passes
@@ -1063,7 +1125,7 @@ def phi(
     level = pool if isinstance(pool, _Level) and pool.bounds == bounds else None
     classes = _graft_classes(pool, bounds, tracker) if level is None else _level_classes(level, tracker)
     n = len(bounds.actions)
-    frontier = [_Orbit(None, ((ts, ty, b""),), (), bounds.types, None, [(0,)]) for ts in bounds.timestamps for ty in sorted(bounds.types)]
+    frontier = [_Orbit(None, ((ts.micros, ty, b""),), (), bounds.types, None, [(0,)]) for ts in bounds.timestamps for ty in sorted(bounds.types)]
     orbits = list(frontier)
     graph_forms: set[tuple] = set()
     for _ in range(bounds.max_len - 1):
@@ -1107,5 +1169,5 @@ def hierarchy(
 
 def canonical_listing(seqs: Iterable[ExecutionSequence]) -> str:
     """Canonical text listing of a sequence set: one sorted line per sequence."""
-    lines = sorted(" -> ".join(graph_text(g) for g in s.graphs) for s in seqs)
+    lines = sorted(" -> ".join(map(_key_text, _seq_sort_key(s))) for s in seqs)
     return "".join(line + "\n" for line in lines)

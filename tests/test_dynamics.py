@@ -37,8 +37,16 @@ Covered claims:
       plain frozenset, and one built under other bounds is never reused
     - at the CLI defaults, `phi(E0)` builds only the members of the orbits
       new in E1, `phi(E1)` and `phi(E2)` build no graph, sequence or label,
-      and the whole chain with its assertions compares no two sequences;
-      chains that share a final hash by the ids their last step added
+      E0 and E1 build no graph at all, and the whole chain with its
+      assertions compares no two sequences; chains that share a final hash
+      by the ids their last step added
+    - `phi`'s members are row-backed: over level pools at depth 0-2 and
+      their plain copies, every member equals and hashes as its
+      graph-backed copy, the canonical listing read from rows is the one
+      the graphs give, and levels pickle and deep-copy equal; pool finals
+      that rows cannot hold (a node with two parents, a spare declared
+      type) give graph-backed members exactly where they are grafted, and
+      `phi` still matches the reference there and with a cyclic final
 """
 
 import copy
@@ -71,6 +79,7 @@ from cteg import (
     apply_invocation,
     canonical_listing,
     e0_normalize,
+    graph_text,
     hierarchy,
     is_emission_step,
     is_invocation_step,
@@ -82,7 +91,7 @@ from cteg import (
 from cteg import dynamics
 from cteg.cli import _oracle_bounds
 from cteg.core import NodeTable
-from cteg.dynamics import _least_member, _rename_chain, _seq_sort_key
+from cteg.dynamics import _least_member, _Prefixes, _rename_chain, _seq_sort_key
 from util import (
     aid,
     budget_spent,
@@ -556,7 +565,7 @@ class TestUniverseBounds:
 class TestPhi:
     def test_renaming_runs_no_proof(self):
         seq = e0_normalize(random_cteg(random.Random(5), 6))
-        renaming = {n: aid(100 + i) for i, n in enumerate(sorted(seq.final.nodes))}
+        renaming = {n.value: aid(100 + i).value for i, n in enumerate(sorted(seq.final.nodes))}
         calls, patch = counting_subgraph_proofs()
         with patch:
             renamed = _rename_chain(seq, renaming)
@@ -938,6 +947,51 @@ def level_at(b: UniverseBounds, depth: int) -> frozenset:
     return level
 
 
+class TestRowBackedMembers:
+    """`phi`'s members hold node-table rows; each equals and hashes as its graph-backed copy."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(b=small_bounds, depth=st.integers(0, 2))
+    def test_members_match_their_graph_backed_copies(self, b, depth):
+        level = level_at(b, depth)
+        for result in (phi(level, b), phi(frozenset(level), b)):
+            copies = {}
+            for seq in result:
+                assert isinstance(seq.graphs, _Prefixes)
+                copy_ = ExecutionSequence._chain(tuple(seq.graphs), seq.steps)
+                assert seq == copy_ and copy_ == seq and hash(seq) == hash(copy_)
+                copies[copy_] = seq
+            assert len(copies) == len(result)
+            # the listing read from rows is the one the graphs give
+            assert canonical_listing(result) == "".join(sorted(" -> ".join(map(graph_text, s.graphs)) + "\n" for s in copies))
+            assert label_listing(result) == label_listing(copies)
+        for kept in (pickle.loads(pickle.dumps(level)), copy.deepcopy(level)):
+            assert kept == level and label_listing(kept) == label_listing(level)
+
+    def test_pool_finals_that_rows_cannot_hold_give_graph_backed_members(self):
+        # a node with two parents and a declared type beyond the bounds' give graph-backed members;
+        # a cycle beside a root gives row-backed members whose rows do not list parents first
+        b = bounds_of(4, 3, 3, max_step_emit=1)
+        t0 = {n: "t0" for n in range(1, 4)}
+        finals = [
+            graph({1: 1, 2: 1, 3: 2}, {(1, 3), (2, 3)}, types=t0),
+            graph({1: 1, 2: 1, 3: 2}, {(2, 3), (3, 2)}, types=t0),
+            graph({1: 1}, set(), types=t0, type_set={"spare"}),
+        ]
+        pool = frozenset(ExecutionSequence((f,), ()) for f in finals)
+        fast_spent, fast = budget_spent(lambda: phi(pool, b))
+        ref_spent, ref = budget_spent(lambda: reference_phi(pool, b))
+        assert fast == ref and label_listing(fast) == label_listing(ref)
+        assert fast_spent == ref_spent
+        held = {isinstance(s.graphs, tuple) for s in fast}
+        assert held == {True, False}
+        for s in fast:
+            assert hash(s) == hash(ExecutionSequence._chain(tuple(s.graphs), None))
+            # graph-backed exactly where the final has a node with two parents or declares the spare type
+            two_parents = len({b for _a, b in s.final.edges}) < len(s.final.edges)
+            assert isinstance(s.graphs, tuple) is (two_parents or ty("spare") in s.final.type_set)
+
+
 class TestLevelReuse:
     """`phi` given a level it returned, under equal bounds, against the same pool as a plain frozenset."""
 
@@ -1019,6 +1073,15 @@ class TestLevelReuse:
             fix = phi(e2, b)
         assert (graphs, sequences, labels) == ([], [], [])
         assert e1 == e2 == fix
+
+    def test_at_the_cli_defaults_expanding_e0_and_the_orbits_new_in_e1_builds_no_graph(self):
+        b = _oracle_bounds(4, 4, 3)
+        built, patch = counting_graphs()
+        with patch:
+            e0 = phi(frozenset(), b)
+            e1 = phi(e0, b)
+        assert built == []
+        assert len(e1) - len(e0) == 912
 
     def test_a_chain_at_the_cli_defaults_compares_no_two_sequences(self):
         b = _oracle_bounds(4, 4, 3)

@@ -34,10 +34,11 @@ from cteg import (
     UnknownNodeError,
     ValidationFailedError,
     apply_emission,
+    canonical_listing,
     temporal_projection,
 )
 from cteg import dynamics
-from cteg.core import NodeTable, StoreError, graft, graph_text
+from cteg.core import NodeTable, StoreError, graft
 from cteg.dynamics import StepLabel, _Budget, _seq_sort_key
 from cteg.persistence import (
     _BATCH_HEAD,
@@ -564,7 +565,8 @@ def reference_history_steps(session) -> tuple[StepLabel, ...]:
 
 
 def chain_text(seq: ExecutionSequence) -> str:
-    return " -> ".join(graph_text(g) for g in seq.graphs)
+    """The line `canonical_listing` gives `seq`, which a row-backed sequence reads from its rows."""
+    return canonical_listing((seq,))[:-1]
 
 
 def label_text(label) -> str:
